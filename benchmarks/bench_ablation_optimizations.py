@@ -142,7 +142,7 @@ def test_ablation_overlap_fusion(benchmark):
 
     # Real kernels: the overlapped sweep is the same arithmetic.
     from repro.geometry import BoxGrid, ProcessGrid
-    from repro.mg.smoothers import MulticolorGS, smooth_distributed
+    from repro.mg.smoothers import MulticolorGS, smooth_distributed_panel
     from repro.parallel import HaloExchange, run_spmd
     from repro.sparse.coloring import color_sets, structured_coloring8
     from repro.sparse.partitioned import partition_colors
@@ -164,11 +164,13 @@ def test_ablation_overlap_fusion(benchmark):
         x2 = np.zeros(prob.A.ncols)
         t0 = time.perf_counter()
         for _ in range(5):
-            smooth_distributed(plain, h1, r, x1, "forward")
+            smooth_distributed_panel(plain, h1, r[:, None], x1[:, None], "forward")
         t_seq = time.perf_counter() - t0
         t0 = time.perf_counter()
         for _ in range(5):
-            smooth_distributed(part, h2, r, x2, "forward", overlap=True)
+            smooth_distributed_panel(
+                part, h2, r[:, None], x2[:, None], "forward", overlap=True
+            )
         t_ov = time.perf_counter() - t0
         return bool(np.array_equal(x1, x2)), t_seq, t_ov, h2.exposed_seconds
 

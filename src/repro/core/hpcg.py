@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.core.flops import flops_pcg_iteration, hierarchy_dims, total_flops
+from repro.core.flops import flops_pcg_iteration, hierarchy_dims
 from repro.core.metrics import PhaseMetrics
 from repro.geometry.grid import BoxGrid
 from repro.geometry.partition import ProcessGrid, Subdomain
@@ -125,11 +125,3 @@ class HPCGBenchmark:
 def run_hpcg(config: HPCGConfig | None = None) -> HPCGResult:
     """Convenience entry point."""
     return HPCGBenchmark(config).run()
-
-
-def hpcg_model_flops_per_iteration(config: HPCGConfig) -> int:
-    """Model flops of one PCG iteration at this configuration."""
-    nx, ny, nz = config.local_dims
-    proc = ProcessGrid.from_size(config.nranks)
-    dims = hierarchy_dims(nx * proc.px, ny * proc.py, nz * proc.pz, config.nlevels)
-    return total_flops(flops_pcg_iteration(dims, config.mg_config()))

@@ -403,17 +403,6 @@ class PrecisionControlPlane:
             transfer_levels=self.transfer_schedule() or (),
         )
 
-    @property
-    def can_change(self) -> bool:
-        """True when any rung may still move."""
-        if not self.config.active:
-            return False
-        if self.mode == "per-ingredient":
-            return any(
-                c.can_promote or c.can_demote for c in self.controllers.values()
-            )
-        return self._policy.can_promote
-
     # ------------------------------------------------------------------
     # Observation protocol
     # ------------------------------------------------------------------

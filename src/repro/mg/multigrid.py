@@ -17,14 +17,17 @@ get row-equilibrated matrix storage via :mod:`repro.sparse.scaled`.
 Every hot operation — smoother sweeps, the fused restriction,
 prolongation — dispatches through :mod:`repro.backends`, which resolves
 precision-specific kernels per level; cross-precision level boundaries
-cast once, at the grid transfer.  All per-level iterate and
-coarse-defect buffers are preallocated, so one V-cycle performs zero
-array allocations after warmup.
+cast once, at the grid transfer.  The V-cycle has one implementation,
+:meth:`MultigridPreconditioner.apply_panel`, which serves a column-major
+panel of right-hand sides with one wide halo exchange per level
+crossing; a single vector is its width-1 panel.  All per-level iterate
+and coarse-defect panels are pooled in the workspace arena, so one
+V-cycle performs zero array allocations after warmup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,16 +37,10 @@ from repro.fp.precision import Precision
 from repro.geometry.partition import Subdomain
 from repro.mg.restriction import (
     coarse_to_fine_map,
-    exchange_and_fused_restrict,
     exchange_and_fused_restrict_panel,
     prolong_correct,
 )
-from repro.mg.smoothers import (
-    Smoother,
-    make_smoother,
-    smooth_distributed,
-    smooth_distributed_panel,
-)
+from repro.mg.smoothers import Smoother, make_smoother, smooth_distributed_panel
 from repro.parallel.comm import Communicator
 from repro.parallel.halo_exchange import HaloExchange
 from repro.sparse.coloring import color_sets, structured_coloring8
@@ -97,8 +94,6 @@ class MGLevel:
     #: coarser level's rung — the historical behaviour — unless the
     #: precision control plane schedules the transfer ingredient apart.
     transfer_precision: Precision | None = None
-    zfull: np.ndarray = field(repr=False, default=None)  # iterate workspace
-    r_c: np.ndarray = field(repr=False, default=None)  # coarse-defect buffer
 
     @property
     def nlocal(self) -> int:
@@ -282,16 +277,6 @@ class MultigridPreconditioner:
                     transfers[lvl] if lvl < len(transfers) else None
                 ),
             )
-            level.zfull = np.zeros(
-                level.nlocal + level.halo_ex.n_ghost, dtype=prec.dtype
-            )
-            if coarse_sub is not None:
-                # The defect buffer crosses the boundary at the
-                # transfer rung (historically the coarser level's
-                # rung); the fused restriction casts on the store.
-                level.r_c = np.zeros(
-                    coarse_sub.nlocal, dtype=level.transfer_precision.dtype
-                )
             levels.append(level)
             if f_c is not None:
                 sub = coarse_sub
@@ -328,42 +313,29 @@ class MultigridPreconditioner:
     # Application
     # ------------------------------------------------------------------
     def apply(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """z = M^{-1} r: one V-cycle from a zero initial guess.
-
-        ``r`` is cast to the preconditioner precision on entry; the
-        result is returned in that precision.  With a caller-provided
-        ``out`` buffer the whole V-cycle is allocation-free (the hot
-        path the solvers use); without one a fresh copy is returned.
-        """
-        dtype = self.precision.dtype
-        if r.dtype == dtype:
-            r_prec = r
-        else:
-            r_prec = self.ws.get("mg.rcast", r.shape, dtype)
-            np.copyto(r_prec, r)
-        z = self._vcycle(0, r_prec)
-        if out is not None:
-            out[:] = z
-            return out
-        return z.copy()
+        """``z = M^{-1} r`` for one vector: the width-1 :meth:`apply_panel`."""
+        z = out if out is not None else np.empty(len(r), dtype=self.precision.dtype)
+        self.apply_panel(r[:, None], out=z[:, None])
+        return z
 
     def apply_panel(
         self, R: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """``Z[:, j] = M^{-1} R[:, j]`` for a column-major panel.
+        """``Z[:, j] = M^{-1} R[:, j]``: one V-cycle from a zero guess.
 
-        The panel-native V-cycle: every level's smoother sweeps, the
-        restriction and the prolongation serve all N columns per
-        recursion step, and each level boundary's halo crossing is
-        **one wide exchange** (one message per neighbor for the whole
-        panel) — message count O(1) in the panel width, where the
-        scalar recursion paid N× per sweep.  Per column the kernels
-        compose in exactly the single-RHS order (the panel sweeps and
-        restriction are per-column compositions under the reference
-        backend; single-pass backends stream each level's matrix once
-        for the panel), so column ``j`` stays bitwise-equal to
-        ``apply(R[:, j])`` — the contract the panel solver's parity
-        tests pin.
+        ``R`` is a column-major panel, cast to the preconditioner's
+        fine-level precision on entry; the result is in that precision.
+        Every level's smoother sweeps, the restriction and the
+        prolongation serve all N columns per recursion step, and each
+        level boundary's halo crossing is **one wide exchange** (one
+        message per neighbor for the whole panel) — message count O(1)
+        in the panel width.  Per column the kernels compose in exactly
+        the single-vector order (the panel sweeps and restriction are
+        per-column compositions under the reference backend;
+        single-pass backends stream each level's matrix once for the
+        panel), so column ``j`` does not depend on its neighbours.
+        With a caller-provided ``out`` the V-cycle is allocation-free
+        after warmup; without one the result is a pooled buffer.
         """
         ncol = R.shape[1]
         dtype = self.precision.dtype
@@ -384,12 +356,13 @@ class MultigridPreconditioner:
     def _vcycle_panel(self, lvl: int, R: np.ndarray) -> np.ndarray:
         """One panel V-cycle level: all N columns per kernel dispatch.
 
-        Mirrors :meth:`_vcycle` with panel buffers: the level iterate
-        is a pooled ``(nlocal + n_ghost, N)`` panel (keyed per level,
-        so the recursion never clobbers a finer level's state), the
-        coarse defect a pooled ``(n_c, N)`` panel at the transfer rung.
-        Every smoother sweep and the restriction cross the halo in one
-        wide exchange for the whole panel.
+        The level iterate is a pooled ``(nlocal + n_ghost, N)`` panel
+        (keyed per level, so the recursion never clobbers a finer
+        level's state), the coarse defect a pooled ``(n_c, N)`` panel
+        at the transfer rung (by default the coarser level's rung; the
+        fused restriction casts on the store).  Every smoother
+        sweep and the restriction cross the halo in one wide exchange
+        for the whole panel.
         """
         level = self.levels[lvl]
         cfg = self.config
@@ -402,9 +375,9 @@ class MultigridPreconditioner:
         )
         ZF[:] = 0.0
 
-        if lvl == len(self.levels) - 1:
+        def smooth(nsweeps: int) -> None:
             with self.timers.section("gs"):
-                for _ in range(cfg.coarse_sweeps):
+                for _ in range(nsweeps):
                     smooth_distributed_panel(
                         level.smoother,
                         level.halo_ex,
@@ -413,19 +386,12 @@ class MultigridPreconditioner:
                         cfg.sweep,
                         overlap=self.overlap,
                     )
+
+        if lvl == len(self.levels) - 1:
+            smooth(cfg.coarse_sweeps)
             return ZF[: level.nlocal, :]
 
-        with self.timers.section("gs"):
-            for _ in range(cfg.npre):
-                smooth_distributed_panel(
-                    level.smoother,
-                    level.halo_ex,
-                    R,
-                    ZF,
-                    cfg.sweep,
-                    overlap=self.overlap,
-                )
-
+        smooth(cfg.npre)
         with self.timers.section("restrict"):
             R_c = self.ws.get_panel(
                 ("mg.panel.rc", lvl),
@@ -443,87 +409,14 @@ class MultigridPreconditioner:
                 out=R_c,
                 ws=self.ws,
             )
-
+        # Recursion reuses deeper workspaces only, so ZF is intact;
+        # Z_c is the deeper level's iterate view, consumed immediately.
         Z_c = self._vcycle_panel(lvl + 1, R_c)
-
         with self.timers.section("prolong"):
             for j in range(ncol):
                 prolong_correct(ZF[:, j], Z_c[:, j], level.f_c, ws=self.ws)
-
-        with self.timers.section("gs"):
-            for _ in range(cfg.npost):
-                smooth_distributed_panel(
-                    level.smoother,
-                    level.halo_ex,
-                    R,
-                    ZF,
-                    cfg.sweep,
-                    overlap=self.overlap,
-                )
-
+        smooth(cfg.npost)
         return ZF[: level.nlocal, :]
-
-    def _vcycle(self, lvl: int, r: np.ndarray) -> np.ndarray:
-        level = self.levels[lvl]
-        cfg = self.config
-        zfull = level.zfull
-        zfull[:] = 0.0
-
-        if lvl == len(self.levels) - 1:
-            with self.timers.section("gs"):
-                for _ in range(cfg.coarse_sweeps):
-                    smooth_distributed(
-                        level.smoother,
-                        level.halo_ex,
-                        r,
-                        zfull,
-                        cfg.sweep,
-                        overlap=self.overlap,
-                    )
-            return zfull[: level.nlocal]
-
-        with self.timers.section("gs"):
-            for _ in range(cfg.npre):
-                smooth_distributed(
-                    level.smoother,
-                    level.halo_ex,
-                    r,
-                    zfull,
-                    cfg.sweep,
-                    overlap=self.overlap,
-                )
-
-        with self.timers.section("restrict"):
-            r_c = exchange_and_fused_restrict(
-                level.halo_ex,
-                level.A,
-                r,
-                zfull,
-                level.f_c,
-                fused=cfg.fused_restrict,
-                out=level.r_c,
-                ws=self.ws,
-            )
-
-        z_c = self._vcycle(lvl + 1, r_c)
-        # Recursion reuses deeper workspaces only, so zfull is intact;
-        # z_c is the deeper level's iterate view, consumed immediately.
-
-        with self.timers.section("prolong"):
-            prolong_correct(zfull, z_c, level.f_c, ws=self.ws)
-
-        with self.timers.section("gs"):
-            for _ in range(cfg.npost):
-                smooth_distributed(
-                    level.smoother,
-                    level.halo_ex,
-                    r,
-                    zfull,
-                    cfg.sweep,
-                    overlap=self.overlap,
-                )
-
-        return zfull[: level.nlocal]
 
     # ------------------------------------------------------------------
     # Introspection (flop/byte models)

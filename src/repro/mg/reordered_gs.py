@@ -15,7 +15,7 @@ With a halo pattern the smoother also supports the PR 5 overlapped
 schedule: each contiguous color block is split into the
 dependency-closed interior sub-block (sweepable before the halo lands;
 see :func:`repro.sparse.partitioned.sweep_overlap_split`) and the
-boundary remainder, and :meth:`sweep_overlapped` pipelines
+boundary remainder, and :meth:`sweep_overlapped_panel` pipelines
 post-sends / permute-in / interior passes / land-ghosts / boundary
 passes — the vector permutation itself becomes compute that hides the
 exchange.
@@ -124,41 +124,45 @@ class ReorderedMulticolorGS(Smoother):
         self._splits[direction] = out
         return out
 
-    def sweep_overlapped(
+    def _relax(self, rows: np.ndarray, rp: np.ndarray, xp: np.ndarray) -> None:
+        if len(rows):
+            ax = spmv_rows(self.A_perm, rows, xp)
+            xp[rows] += (rp[rows] - ax) / self.diag_perm[rows]
+
+    def sweep_overlapped_panel(
         self,
         halo_ex: HaloExchange,
-        r: np.ndarray,
-        xfull: np.ndarray,
+        R: np.ndarray,
+        Xfull: np.ndarray,
         direction: str = "forward",
     ) -> None:
-        """Post sends, permute in, sweep interior sub-blocks, land the
-        ghosts, sweep boundary sub-blocks, permute out.
+        """Post one wide exchange, permute every column in, sweep the
+        interior sub-blocks, land the ghosts, sweep the boundary
+        sub-blocks, permute out.
 
         The sends pack from the *original* layout (the exchange plan's
         send indices are original row numbers), so they post before
-        the permutation; the permutation and the interior passes are
+        the permutation; the permutations and the interior passes are
         the compute that hides the wire time.  Bitwise-equal to
-        ``exchange`` + ``forward``/``backward`` by the dependency
-        closure.
+        ``exchange_panel`` + ``forward_panel``/``backward_panel`` by
+        the dependency closure.
         """
         if self._interior_mask is None:
-            super().sweep_overlapped(halo_ex, r, xfull, direction)
+            super().sweep_overlapped_panel(halo_ex, R, Xfull, direction)
             return
         if direction not in ("forward", "backward"):
             raise ValueError(f"unknown sweep direction {direction!r}")
-        pending = halo_ex.exchange_begin(xfull)
-        rp = r[self.old_of_new]
-        xp = self._permute_in(xfull)
-        A, diag = self.A_perm, self.diag_perm
+        pending = halo_ex.exchange_begin_panel(Xfull)
         split = self._split(direction)
-        for rows, _ in split:
-            if len(rows):
-                ax = spmv_rows(A, rows, xp)
-                xp[rows] += (rp[rows] - ax) / diag[rows]
-        halo_ex.exchange_finish(pending, xfull)
-        xp[self.nlocal :] = xfull[self.nlocal :]
-        for _, rows in split:
-            if len(rows):
-                ax = spmv_rows(A, rows, xp)
-                xp[rows] += (rp[rows] - ax) / diag[rows]
-        self._permute_out(xp, xfull)
+        permuted = []
+        for j in range(R.shape[1]):
+            rp, xp = R[:, j][self.old_of_new], self._permute_in(Xfull[:, j])
+            for rows, _ in split:
+                self._relax(rows, rp, xp)
+            permuted.append((rp, xp))
+        halo_ex.exchange_finish_panel(pending, Xfull)
+        for j, (rp, xp) in enumerate(permuted):
+            xp[self.nlocal :] = Xfull[self.nlocal :, j]
+            for _, rows in split:
+                self._relax(rows, rp, xp)
+            self._permute_out(xp, Xfull[:, j])

@@ -89,30 +89,6 @@ def restrict_vector(v_f: np.ndarray, f_c: np.ndarray) -> np.ndarray:
     return v_f[f_c].copy()
 
 
-def exchange_and_fused_restrict(
-    halo_ex: HaloExchange,
-    A_f,
-    r_f: np.ndarray,
-    xfull_f: np.ndarray,
-    f_c: np.ndarray,
-    fused: bool = True,
-    out: np.ndarray | None = None,
-    ws=None,
-) -> np.ndarray:
-    """Distributed coarse-defect computation.
-
-    The smoothed iterate's ghost values are stale after a sweep (local
-    entries moved), so the residual evaluation is preceded by a halo
-    exchange — the same communication the paper overlaps with interior
-    work in its fused kernel.  ``out`` may be the coarser level's
-    buffer in a different precision (per-level ladder schedules).
-    """
-    halo_ex.exchange(xfull_f)
-    if fused:
-        return fused_residual_restrict(A_f, r_f, xfull_f, f_c, out=out, ws=ws)
-    return unfused_residual_restrict(A_f, r_f, xfull_f, f_c, out=out, ws=ws)
-
-
 def exchange_and_fused_restrict_panel(
     halo_ex: HaloExchange,
     A_f,
@@ -123,15 +99,16 @@ def exchange_and_fused_restrict_panel(
     out: np.ndarray | None = None,
     ws=None,
 ) -> np.ndarray:
-    """Panel coarse-defect computation behind one wide exchange.
+    """Distributed coarse-defect computation for a panel.
 
-    The panel-native counterpart of :func:`exchange_and_fused_restrict`:
-    the smoothed panel's stale ghosts refresh in **one** wide exchange
-    (one message per neighbor for all N columns), then each column's
-    restriction runs through the same fused/unfused kernel as the
-    single-RHS path — bitwise-per-column equal to looping the scalar
-    function.  ``out`` is the coarser level's ``(n_c, N)`` panel buffer,
-    possibly in a different precision (per-level ladder schedules).
+    The smoothed iterate's ghost values are stale after a sweep (local
+    entries moved), so the residual evaluation is preceded by a halo
+    exchange — the communication the paper overlaps with interior work
+    in its fused kernel.  Here it is **one** wide exchange (one message
+    per neighbor for all N columns); each column's restriction then
+    runs through the fused (or unfused) kernel.  ``out`` is the coarser
+    level's ``(n_c, N)`` panel buffer, possibly in a different
+    precision (per-level ladder schedules).
     """
     halo_ex.exchange_panel(Xfull_f)
     if out is None:
@@ -145,7 +122,7 @@ def exchange_and_fused_restrict_panel(
             R_f[:, j],
             Xfull_f[:, j],
             f_c,
-            out=None if out is None else out[:, j],
+            out=out[:, j],
             ws=ws,
         )
     return out

@@ -17,7 +17,10 @@ Two parallelization strategies, matching the paper's contrast (§2,
 Across ranks both smoothers freeze ghost values for the duration of a
 sweep (block-Jacobi coupling), exchanging the halo once per sweep —
 exactly the benchmark's behaviour, where each subdomain is reordered
-and swept independently.
+and swept independently.  The distributed sweep has one
+implementation, :func:`smooth_distributed_panel`: it sweeps a
+column-major panel of right-hand sides behind one wide halo exchange,
+and a single vector is its width-1 panel.
 
 Precision rides on the kernel registry: ``symgs_sweep`` resolves a
 precision-specific kernel from the matrix dtype, so an fp16 ladder
@@ -34,9 +37,7 @@ import numpy as np
 
 from repro.backends.dispatch import (
     spmv,
-    symgs_boundary,
     symgs_boundary_multi,
-    symgs_interior,
     symgs_interior_multi,
     symgs_sweep,
     symgs_sweep_multi,
@@ -95,29 +96,26 @@ class Smoother(abc.ABC):
         for j in range(R.shape[1]):
             self.backward(R[:, j], Xfull[:, j])
 
-    #: Whether :meth:`sweep_overlapped` actually hides the exchange
-    #: (smoothers without a color partition fall back to the blocking
-    #: exchange-then-sweep schedule).
+    #: Whether :meth:`sweep_overlapped_panel` actually hides the
+    #: exchange (smoothers without a color partition fall back to the
+    #: blocking exchange-then-sweep schedule).
     supports_overlap = False
 
-    def sweep_overlapped(
+    def sweep_panel(
         self,
         halo_ex: HaloExchange,
-        r: np.ndarray,
-        xfull: np.ndarray,
+        R: np.ndarray,
+        Xfull: np.ndarray,
         direction: str = "forward",
     ) -> None:
-        """One distributed sweep with the exchange as early as possible.
-
-        Base implementation: the sequential schedule (full exchange,
-        then the sweep) — smoothers that can split their passes
-        override this with the begin/interior/finish/boundary pipeline.
-        """
-        halo_ex.exchange(xfull)
+        """One distributed panel sweep, sequential schedule: a blocking
+        wide exchange (every column's ghosts in one message per
+        neighbor), then the panel sweep."""
+        halo_ex.exchange_panel(Xfull)
         if direction == "forward":
-            self.forward(r, xfull)
+            self.forward_panel(R, Xfull)
         elif direction == "backward":
-            self.backward(r, xfull)
+            self.backward_panel(R, Xfull)
         else:
             raise ValueError(f"unknown sweep direction {direction!r}")
 
@@ -130,20 +128,12 @@ class Smoother(abc.ABC):
     ) -> None:
         """One distributed panel sweep behind a single wide exchange.
 
-        Base implementation: one blocking wide exchange (every column's
-        ghosts in one message per neighbor), then the panel sweep —
-        already O(1) messages in the panel width.  Partitioned
-        smoothers override with the begin/interior/finish/boundary
-        pipeline so the whole panel's interior compute hides the wide
-        exchange.
+        Base implementation: the sequential :meth:`sweep_panel`.
+        Partitioned smoothers override with the
+        begin/interior/finish/boundary pipeline so the whole panel's
+        interior compute hides the wide exchange.
         """
-        halo_ex.exchange_panel(Xfull)
-        if direction == "forward":
-            self.forward_panel(R, Xfull)
-        elif direction == "backward":
-            self.backward_panel(R, Xfull)
-        else:
-            raise ValueError(f"unknown sweep direction {direction!r}")
+        self.sweep_panel(halo_ex, R, Xfull, direction)
 
 
 class MulticolorGS(Smoother):
@@ -202,35 +192,6 @@ class MulticolorGS(Smoother):
             self.A, R, Xfull, self.sets, self.diag_sets, "backward", ws=self.ws
         )
 
-    def sweep_overlapped(
-        self,
-        halo_ex: HaloExchange,
-        r: np.ndarray,
-        xfull: np.ndarray,
-        direction: str = "forward",
-    ) -> None:
-        """One distributed sweep with the exchange behind the interior.
-
-        The paper's §3.2.3 schedule applied to the smoother (the
-        ROADMAP's "overlap the smoother's halo exchange with its first
-        color pass", extended to the dependency-closed interior of
-        *every* color): post the halo, relax each color's interior
-        block, land the ghosts in the vector tail, relax each color's
-        boundary block.  Without a partition this degrades to the
-        sequential exchange-then-sweep schedule.
-        """
-        if self.partition is None:
-            super().sweep_overlapped(halo_ex, r, xfull, direction)
-            return
-        if direction not in ("forward", "backward"):
-            raise ValueError(f"unknown sweep direction {direction!r}")
-        pending = halo_ex.exchange_begin(xfull)
-        # Interior colors compute while the messages are in transit ...
-        symgs_interior(self.partition, r, xfull, direction, ws=self.ws)
-        # ... land the ghosts, then finish every color's boundary rows.
-        halo_ex.exchange_finish(pending, xfull)
-        symgs_boundary(self.partition, r, xfull, direction, ws=self.ws)
-
     def sweep_overlapped_panel(
         self,
         halo_ex: HaloExchange,
@@ -240,13 +201,14 @@ class MulticolorGS(Smoother):
     ) -> None:
         """Panel sweep behind one wide exchange, interior compute first.
 
-        The §3.2.3 split at panel width: post **one** wide exchange
-        (all columns, one message per neighbor), relax every column's
-        interior color blocks while it flies, land all ghosts at once,
-        finish every column's boundary blocks.  Per column this
-        executes the same block kernels in the same order as
-        :meth:`sweep_overlapped`, so the panel schedule is bitwise-
-        per-column equal to the looped one.
+        The paper's §3.2.3 schedule applied to the smoother, extended
+        to the dependency-closed interior of *every* color and to the
+        whole panel: post **one** wide exchange (all columns, one
+        message per neighbor), relax every column's interior color
+        blocks while it flies, land all ghosts at once, finish every
+        column's boundary blocks.  Bitwise-equal to the sequential
+        exchange-then-sweep schedule at fp64.  Without a partition this
+        degrades to that sequential schedule.
         """
         if self.partition is None:
             super().sweep_overlapped_panel(halo_ex, R, Xfull, direction)
@@ -326,43 +288,6 @@ def make_smoother(
     raise ValueError(f"unknown smoother kind {kind!r}")
 
 
-def smooth_distributed(
-    smoother: Smoother,
-    halo_ex: HaloExchange,
-    r: np.ndarray,
-    xfull: np.ndarray,
-    direction: str = "forward",
-    overlap: bool = False,
-) -> None:
-    """One distributed sweep: halo exchange, then the local sweep.
-
-    With ``overlap=True`` each directional sweep runs through
-    :meth:`Smoother.sweep_overlapped` — the exchange posts first and
-    the smoother's interior color blocks hide it (bitwise-equal to the
-    sequential schedule; smoothers without a partition fall back to
-    it).  A symmetric sweep overlaps each direction's exchange
-    independently, exactly mirroring the sequential pair.
-    """
-    if overlap:
-        if direction == "symmetric":
-            smoother.sweep_overlapped(halo_ex, r, xfull, "forward")
-            smoother.sweep_overlapped(halo_ex, r, xfull, "backward")
-        else:
-            smoother.sweep_overlapped(halo_ex, r, xfull, direction)
-        return
-    halo_ex.exchange(xfull)
-    if direction == "forward":
-        smoother.forward(r, xfull)
-    elif direction == "backward":
-        smoother.backward(r, xfull)
-    elif direction == "symmetric":
-        smoother.forward(r, xfull)
-        halo_ex.exchange(xfull)
-        smoother.backward(r, xfull)
-    else:
-        raise ValueError(f"unknown sweep direction {direction!r}")
-
-
 def smooth_distributed_panel(
     smoother: Smoother,
     halo_ex: HaloExchange,
@@ -371,34 +296,18 @@ def smooth_distributed_panel(
     direction: str = "forward",
     overlap: bool = False,
 ) -> None:
-    """One distributed *panel* sweep: one wide exchange per sweep.
+    """One distributed panel sweep: one wide exchange per sweep.
 
-    The panel-native counterpart of :func:`smooth_distributed`: the
-    halo crossing before each directional sweep ships every column in
-    one wide message per neighbor, so the smoother's message count is
-    O(1) in the panel width.  With ``overlap=True`` the wide exchange
-    hides behind the whole panel's interior color blocks
-    (:meth:`Smoother.sweep_overlapped_panel`); the symmetric sweep
-    overlaps each direction's exchange independently, mirroring the
-    single-RHS pair.  Per column the schedule composes the same kernels
-    in the same order as looping :func:`smooth_distributed` over the
-    columns — bitwise-per-column equal.
+    The halo crossing before each directional sweep ships every column
+    in one wide message per neighbor, so the smoother's message count
+    is O(1) in the panel width.  With ``overlap=True`` the wide
+    exchange hides behind the whole panel's interior color blocks
+    (:meth:`Smoother.sweep_overlapped_panel`; bitwise-equal to the
+    sequential schedule, and smoothers without a partition fall back
+    to it).  A symmetric sweep is a forward then a backward sweep, each
+    behind its own exchange.  A single vector sweeps as the width-1 panel
+    (``R[:, None]``, ``Xfull[:, None]``).
     """
-    if overlap:
-        if direction == "symmetric":
-            smoother.sweep_overlapped_panel(halo_ex, R, Xfull, "forward")
-            smoother.sweep_overlapped_panel(halo_ex, R, Xfull, "backward")
-        else:
-            smoother.sweep_overlapped_panel(halo_ex, R, Xfull, direction)
-        return
-    halo_ex.exchange_panel(Xfull)
-    if direction == "forward":
-        smoother.forward_panel(R, Xfull)
-    elif direction == "backward":
-        smoother.backward_panel(R, Xfull)
-    elif direction == "symmetric":
-        smoother.forward_panel(R, Xfull)
-        halo_ex.exchange_panel(Xfull)
-        smoother.backward_panel(R, Xfull)
-    else:
-        raise ValueError(f"unknown sweep direction {direction!r}")
+    sweep = smoother.sweep_overlapped_panel if overlap else smoother.sweep_panel
+    for d in ("forward", "backward") if direction == "symmetric" else (direction,):
+        sweep(halo_ex, R, Xfull, d)

@@ -123,83 +123,26 @@ class HaloExchange:
         xfull[: self.nlocal] = x_local
         return xfull
 
-    def exchange(self, xfull: np.ndarray) -> None:
-        """Fill the ghost segment of ``xfull`` from neighbor ranks.
-
-        The owned segment ``xfull[:nlocal]`` must already hold current
-        values.  No-op on a serial communicator (no neighbors exist).
-        Fully exposed: nothing computes while the messages fly.
-        """
-        if not self._plan:
-            return
-        t0 = time.perf_counter()
-        self._finish(self._begin(xfull), xfull)
-        dt = time.perf_counter() - t0
-        self.seconds += dt
-        self.exposed_seconds += dt
-        self.exchanges += 1
-
-    def exchange_begin(self, xfull: np.ndarray) -> list:
-        """Pack and post every send; return the pending receive plan.
-
-        This is the paper's asynchronous structure (§3.2.3): the halo
-        is put in flight, the caller computes interior rows, and
-        :meth:`exchange_finish` lands the ghosts before boundary rows.
-        Sends are buffered (the transport copies into a recycled
-        message buffer before returning), so the pooled staging buffers
-        are immediately reusable and the whole begin/finish pair
-        allocates nothing after warmup.
-        """
-        if not self._plan:
-            return []
-        t0 = time.perf_counter()
-        pending = self._begin(xfull)
-        self.seconds += time.perf_counter() - t0
-        self.exchanges += 1
-        return pending
-
     def _seq_offset(self) -> int:
         """Advance the exchange round; return its tag offset."""
         off = HALO_SEQ_STRIDE * (self._seq % HALO_SEQ_WINDOW)
         self._seq += 1
         return off
 
-    def _begin(self, xfull: np.ndarray) -> list:
-        comm = self.comm
-        seq = self._seq_offset()
-        pending = []
-        for i, (nb, send_idx, send_tag, recv_tag, ghost_slice) in enumerate(
-            self._plan
-        ):
-            buf = self.ws.get(("halo.send", i), (len(send_idx),), xfull.dtype)
-            np.take(xfull, send_idx, out=buf, mode="clip")
-            comm.isend(buf, nb, send_tag + seq)
-            self.messages += 1
-            self.sent_bytes += buf.nbytes
-            pending.append((nb, recv_tag + seq, ghost_slice))
-        return pending
+    # Single-vector exchanges are the width-1 panel exchange: a 1-D
+    # ``xfull`` travels as one ``(len, 1)`` message per neighbor.
+
+    def exchange(self, xfull: np.ndarray) -> None:
+        """Blocking exchange of one vector's ghost segment."""
+        self.exchange_panel(xfull[:, None])
+
+    def exchange_begin(self, xfull: np.ndarray) -> list:
+        """Post one vector's sends (see :meth:`exchange_begin_panel`)."""
+        return self.exchange_begin_panel(xfull[:, None])
 
     def exchange_finish(self, pending: list, xfull: np.ndarray) -> None:
-        """Land each neighbor's message directly in the ghost tail.
-
-        The ghost-tail layout *is* the receive buffer: each message is
-        received straight into its ``xfull`` segment (``recv_into``),
-        with no unpack staging.
-        """
-        if not pending:
-            return
-        t0 = time.perf_counter()
-        self._finish(pending, xfull)
-        dt = time.perf_counter() - t0
-        self.seconds += dt
-        self.exposed_seconds += dt
-
-    def _finish(self, pending: list, xfull: np.ndarray) -> None:
-        comm = self.comm
-        for nb, recv_tag, ghost_slice in pending:
-            comm.recv_into(
-                nb, recv_tag, xfull[ghost_slice], timeout=self.deadline
-            )
+        """Land one vector's ghosts (see :meth:`exchange_finish_panel`)."""
+        self.exchange_finish_panel(pending, xfull[:, None])
 
     # Wide (panel) exchange -------------------------------------------
     # One message per neighbor per exchange, N columns coalesced: the
@@ -209,9 +152,8 @@ class HaloExchange:
     # block lands directly in the panel's ghost-tail rows via
     # ``recv_into``.  The per-channel transport free-lists already key
     # on shape+dtype, so wide messages recycle their own buffer species
-    # and the loop is zero-allocation after warmup.  Counter semantics
-    # mirror the single-vector methods: one wide round is **one**
-    # exchange (not N), while :attr:`messages`/:attr:`sent_bytes`
+    # and the loop is zero-allocation after warmup.  One wide round is
+    # **one** exchange (not N), while :attr:`messages`/:attr:`sent_bytes`
     # record the true wire traffic.
 
     def exchange_panel(self, XF: np.ndarray) -> None:

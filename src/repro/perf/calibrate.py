@@ -2,7 +2,7 @@
 
 Three calibration targets exist:
 
-1. **Paper anchors** — check (and tune) the Frontier model against the
+1. **Paper anchors** — check the Frontier model against the
    numbers the paper reports: ~294 GF/s per GCD of mixed-precision
    rating at one node, 78% weak-scaling efficiency at 9408 nodes, a
    ~1.6x overall penalized speedup, and the 0.968 validation penalty.
@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.perf.machine import FRONTIER_GCD, MachineSpec
+from repro.perf.machine import MachineSpec
 from repro.perf.scaling import ScalingModel
 
 
@@ -65,41 +65,6 @@ def paper_anchor_report(model: ScalingModel | None = None) -> AnchorReport:
         speedup_9408=model.speedup_overall(9408 * model.machine.gcds_per_node),
         penalty=model.penalty,
     )
-
-
-def calibrate_frontier(
-    target_gflops_1node: float = 293.6,
-    target_efficiency_9408: float = 0.78,
-    iterations: int = 24,
-) -> MachineSpec:
-    """Tune the two free Frontier knobs to the paper anchors.
-
-    Bandwidth efficiency sets the 1-node per-GCD rating; the imbalance
-    coefficient sets the full-system efficiency (given the all-reduce
-    model).  Simple coordinate bisection; both responses are monotone.
-    """
-    spec = FRONTIER_GCD
-    lo_e, hi_e = 0.3, 1.0
-    for _ in range(iterations):
-        mid = 0.5 * (lo_e + hi_e)
-        model = ScalingModel(machine=spec.with_updates(mem_eff=mid))
-        g = model.gflops_per_gcd("mxp", spec.gcds_per_node)
-        if g < target_gflops_1node:
-            lo_e = mid
-        else:
-            hi_e = mid
-    spec = spec.with_updates(mem_eff=0.5 * (lo_e + hi_e))
-
-    lo_j, hi_j = 0.0, 0.1
-    for _ in range(iterations):
-        mid = 0.5 * (lo_j + hi_j)
-        model = ScalingModel(machine=spec.with_updates(imbalance_per_log2_nodes=mid))
-        eff = model.weak_scaling_series([1, 9408])[1]["efficiency"]
-        if eff > target_efficiency_9408:
-            lo_j = mid
-        else:
-            hi_j = mid
-    return spec.with_updates(imbalance_per_log2_nodes=0.5 * (lo_j + hi_j))
 
 
 # ----------------------------------------------------------------------

@@ -211,30 +211,6 @@ class ScalingModel:
         interior = max(nx - 2, 0) * max(ny - 2, 0) * max(nz - 2, 0)
         return interior / (nx * ny * nz)
 
-    @staticmethod
-    def _symgs_early_fraction(
-        dims: tuple[int, int, int], num_colors: int = 8
-    ) -> float:
-        """Fraction of a sweep runnable before the halo lands.
-
-        A color's interior block must be *dependency-closed* (every
-        earlier-color neighbor itself early), which erodes the window
-        by roughly one layer per pair of earlier parity colors:
-        color ``c`` keeps rows at depth ``> 1 + (c+1)//2`` from the
-        faces.  Averaged over colors this is nearly the full interior
-        on fine boxes and collapses toward zero on coarse ones —
-        exactly the Fig. 9b coarse-level exposure the measured
-        per-level counters report.
-        """
-        nx, ny, nz = dims
-        n = nx * ny * nz
-        total = 0.0
-        for c in range(num_colors):
-            d = 1 + (c + 1) // 2
-            kept = max(nx - 2 * d, 0) * max(ny - 2 * d, 0) * max(nz - 2 * d, 0)
-            total += kept / n
-        return total / num_colors
-
     # ------------------------------------------------------------------
     # Per-operation times
     # ------------------------------------------------------------------

@@ -55,7 +55,7 @@ def abft_rel_tol(dtype) -> float:
 class ABFTCheck:
     """One operator's checksum verifier, bound to a rung tolerance."""
 
-    __slots__ = ("c", "cabs", "rel_tol", "site", "stats", "checks")
+    __slots__ = ("c", "cabs", "rel_tol", "site", "checks")
 
     def __init__(
         self,
@@ -63,21 +63,21 @@ class ABFTCheck:
         cabs: np.ndarray,
         rel_tol: float,
         site: str = "spmv",
-        stats=None,
     ) -> None:
         self.c = c
         self.cabs = cabs
         self.rel_tol = rel_tol
         self.site = site
-        #: Optional :class:`~repro.resilience.stats.ResilienceStats`
-        #: receiving ``detected`` increments.
-        self.stats = stats
         self.checks = 0
 
-    def verify(self, xfull: np.ndarray, y: np.ndarray) -> None:
+    def verify(
+        self, xfull: np.ndarray, y: np.ndarray, column: int | None = None
+    ) -> None:
         """Raise :class:`FaultDetectedError` if ``y ≉ A @ xfull``.
 
-        Read-only: no solver state is touched on the clean path.
+        ``column`` names the panel column being checked (carried by
+        the error).  Read-only: no solver state is touched on the
+        clean path.
         """
         self.checks += 1
         s_y = float(np.sum(y, dtype=np.float64))
@@ -87,10 +87,10 @@ class ABFTCheck:
         tol = self.rel_tol * (denom + abs(s_cx)) + np.finfo(np.float64).tiny
         err = abs(s_y - s_cx)
         if not err <= tol:  # NaN-safe: a NaN comparison is False
-            if self.stats is not None:
-                self.stats.detected += 1
-            raise FaultDetectedError(
+            fault = FaultDetectedError(
                 self.site,
                 f"checksum error {err:.3e} exceeds rung tolerance "
                 f"{tol:.3e} (rel_tol={self.rel_tol:.1e})",
             )
+            fault.column = column
+            raise fault

@@ -20,9 +20,13 @@ class ResilienceError(RuntimeError):
 class FaultDetectedError(ResilienceError):
     """A checksum (ABFT) verification caught corrupted kernel output.
 
-    Carries the detection site and the relative checksum error so the
-    replay path (and telemetry) can attribute the fault.
+    Carries the detection site, the relative checksum error and (for a
+    panel SpMV) the panel column that failed, so the replay path (and
+    telemetry) can attribute the fault.
     """
+
+    #: Panel column whose checksum failed, when known.
+    column: int | None = None
 
     def __init__(self, site: str, detail: str = "") -> None:
         msg = f"fault detected at {site}"
@@ -40,6 +44,9 @@ class NumericalBreakdownError(ResilienceError):
     of silently iterating to ``maxiter`` on NaNs; with resilience
     enabled the solver converts it into a checkpoint replay.
     """
+
+    #: Panel column whose state went non-finite, when known.
+    column: int | None = None
 
     def __init__(self, where: str, value: float) -> None:
         super().__init__(

@@ -50,10 +50,14 @@ from repro.resilience.errors import TransientFaultError
 from repro.resilience.stats import ResilienceStats
 
 #: Registry ops the kernel fault site corrupts.  These are the
-#: ABFT-covered SpMV outputs: the plain full matvec and the boundary
+#: ABFT-covered SpMV outputs: the full panel matvec and the boundary
 #: half of an overlapped one (the final write on that path, so the
-#: corruption always survives to the checksum verification).
-KERNEL_FAULT_OPS = ("spmv", "spmv_boundary")
+#: corruption always survives to the checksum verification), plus
+#: their single-vector kernels, which the reference single-vector
+#: schedules dispatch directly.  A covered op nested inside another
+#: (the reference ``spmv_multi`` loops ``spmv`` per column) never
+#: fires: the outermost dispatch owns the output the checksum sees.
+KERNEL_FAULT_OPS = ("spmv", "spmv_boundary", "spmv_multi", "spmv_boundary_multi")
 
 _SITES = {
     "spmv": ("bitflip", "nan"),
@@ -80,8 +84,15 @@ def abft_armed() -> bool:
 
 
 @contextlib.contextmanager
-def abft_scope():
-    """Mark the enclosed kernel dispatch as checksum-verified."""
+def abft_scope(active: bool = True):
+    """Mark the enclosed kernel dispatch as checksum-verified.
+
+    ``active=False`` is a no-op scope, so callers whose verifier is
+    optional need no second code path.
+    """
+    if not active:
+        yield
+        return
     _SCOPE.depth = getattr(_SCOPE, "depth", 0) + 1
     try:
         yield
@@ -243,7 +254,13 @@ class FaultInjector:
                 return fn
 
             def faulty(*args, **kwargs):
-                out = fn(*args, **kwargs)
+                if getattr(_SCOPE, "in_kernel", False):
+                    return fn(*args, **kwargs)  # nested: outer op fires
+                _SCOPE.in_kernel = True
+                try:
+                    out = fn(*args, **kwargs)
+                finally:
+                    _SCOPE.in_kernel = False
                 if self._covered and not abft_armed():
                     return out
                 mode = self.fire("spmv")
@@ -257,7 +274,8 @@ class FaultInjector:
 
     def corrupt_value(self, out: np.ndarray, mode: str) -> None:
         """Corrupt one element of ``out`` in place."""
-        flat = out.reshape(-1)
+        # A view for C- and F-ordered outputs alike (a panel is F-ordered).
+        flat = out.reshape(-1, order="A")
         if mode == "nan":
             idx = int(self._rng.integers(flat.size))
             flat[idx] = np.nan

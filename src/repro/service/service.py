@@ -189,16 +189,6 @@ class SolverService:
         self._problems.setdefault(fp, problem)
         return fp
 
-    def install_plan(self, fingerprint: str, plan) -> None:
-        """Attach a tuned dispatch plan to a registered operator.
-
-        Stored in the shared setup cache, so every batch solver the
-        service constructs against this operator adopts the plan's
-        parity-asserted choices — tuned dispatch with no per-request
-        plumbing.
-        """
-        self.setup_cache.store_plan(fingerprint, plan)
-
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Start the batching loop (idempotent)."""

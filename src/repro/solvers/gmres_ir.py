@@ -30,6 +30,14 @@ step; the true double-precision residual is recomputed at every outer
 (restart) boundary and has final say.  Iteration counts — the quantity
 the validation phase penalizes — count inner Arnoldi steps.
 
+There is one solve path.  :meth:`GMRESIRSolver.solve_panel` advances a
+panel of right-hand sides in lockstep restart cycles — panel V-cycle,
+panel SpMV, wide halo exchanges — with per-column projections, Givens
+rotations and convergence tests, so each column's result is the one it
+would get alone; :meth:`GMRESIRSolver.solve` is the width-1 panel.
+Restart-boundary checkpoint replay (with ABFT-checked SpMVs) therefore
+covers single solves and coalesced service batches alike.
+
 Every hot operation dispatches through :mod:`repro.backends`, and all
 O(n) temporaries live in a solver-owned workspace arena: after the
 first (warmup) restart cycle the inner Arnoldi loop performs zero
@@ -314,7 +322,6 @@ class GMRESIRSolver:
             overlap=self.overlap,
             partition=self._setup_partition(self.A64, "fp64"),
         )
-        self._r64 = np.zeros(problem.nlocal, dtype=np.float64)
 
         # Resilience: ABFT column-sum checksums, computed ONCE in fp64
         # from A64 and cached with the other setup products.  Scaled
@@ -332,11 +339,15 @@ class GMRESIRSolver:
             self.op64.attach_abft(
                 ABFTCheck(c, cabs, self._abft_tol(np.float64))
             )
-        # Givens QR state and the Hessenberg-column staging buffer are
-        # policy-independent (always fp64) and fully reset per restart
-        # cycle, so one allocation serves every solve — repeated
-        # ``solve`` calls on a reused solver perform no setup allocs.
-        self._qr = GivensQR(restart)
+        # Per-slot Krylov state, one slot per panel column (slot 0 is
+        # the single-RHS ``solve``'s): the bases are rebuilt per rung
+        # by ``_bind_policy``, the Givens QRs are policy-independent
+        # (always fp64) and fully reset per restart cycle.  The
+        # Hessenberg-column staging buffer is shared by every slot.
+        # Slots persist across calls, so repeated solves at one width
+        # perform no setup allocations.
+        self._Qs: list[np.ndarray] = []
+        self._qrs: list[GivensQR] = []
         self._hcol = np.zeros(restart + 1, dtype=np.float64)
 
         self.mg_config = mg_config or MGConfig()
@@ -384,8 +395,8 @@ class GMRESIRSolver:
 
         Called at construction and again by the escalation controller
         after each promotion: the inner operator, the multigrid
-        hierarchy (on the policy's per-level schedule), the Krylov
-        basis and the hot-loop buffers all change dtype with the rung.
+        hierarchy (on the policy's per-level schedule) and the Krylov
+        bases all change dtype with the rung.
         """
         self.policy = policy
 
@@ -471,28 +482,17 @@ class GMRESIRSolver:
             )
             self.M.timers = self.timers
 
-        # Krylov basis and hot-loop vector buffers, preallocated once
-        # per rung.
+        # Krylov bases (every panel slot; ``self.Q`` is slot 0's) and
+        # the basis-precision staging for the least-squares solution,
+        # preallocated once per rung.
         n = self.problem.nlocal
-        restart = self.restart
         basis_dtype = policy.krylov_basis.dtype
-        self.Q = np.zeros((n, restart + 1), dtype=basis_dtype)
-        self._w_op = np.zeros(n, dtype=self.op_inner.dtype)
-        self._u = np.zeros(n, dtype=basis_dtype)
-        if self.op_inner.dtype != basis_dtype:
-            self._w_basis = np.zeros(n, dtype=basis_dtype)
-        else:
-            self._w_basis = self._w_op
-        prec_dtype = self.M.precision.dtype
-        self._z_prec = np.zeros(n, dtype=prec_dtype)
-        if prec_dtype != self.op_inner.dtype:
-            self._z_op = np.zeros(n, dtype=self.op_inner.dtype)
-        else:
-            self._z_op = None  # preconditioner output feeds SpMV directly
-        # Basis-precision staging for the least-squares solution (the
-        # update's ``y`` cast), sliced per cycle length — no per-cycle
-        # allocation on a reused solver.
-        self._ycast = np.zeros(restart, dtype=basis_dtype)
+        self._Qs = [
+            np.zeros((n, self.restart + 1), dtype=basis_dtype)
+            for _ in range(max(1, len(self._Qs)))
+        ]
+        self.Q = self._Qs[0]
+        self._ycast = np.zeros(self.restart, dtype=basis_dtype)
 
     # ------------------------------------------------------------------
     def _halo_exchanges(self) -> list:
@@ -555,9 +555,6 @@ class GMRESIRSolver:
             ex.reset_counters()
 
     # ------------------------------------------------------------------
-    def _relres(self, rho: float) -> float:
-        return rho / self._rho0 if self._rho0 else np.inf
-
     def _export_setup_stats(self, *stats: SolverStats) -> None:
         """Snapshot the setup cache's counters into the stats records."""
         hits = self.setup_cache.hits if self.setup_cache is not None else 0
@@ -566,50 +563,65 @@ class GMRESIRSolver:
             s.setup_cache_hits = hits
             s.setup_cache_misses = misses
 
-    def _apply_events(self, stats: SolverStats, events: list[PrecisionEvent]) -> None:
+    def _apply_events(
+        self, stats: list[SolverStats], events: list[PrecisionEvent]
+    ) -> None:
         """Record the plane's rung changes and rebuild the inner stage.
 
-        A caller-supplied preconditioner is abandoned here: it sits on
-        the old schedule — often containing the very component whose
-        roundoff floor triggered the change — so the rebuild constructs
-        a fresh hierarchy on the plane's live schedule instead.
+        One schedule serves the whole panel, so the events land in
+        every listed column's log.  A caller-supplied preconditioner is
+        abandoned here: it sits on the old schedule — often containing
+        the very component whose roundoff floor triggered the change —
+        so the rebuild constructs a fresh hierarchy on the plane's live
+        schedule instead.
         """
-        stats.promotions.extend(events)
+        for s in stats:
+            s.promotions.extend(events)
         self._shared_precond = None
         self._bind_policy(self.plane.live_policy())
 
     def _replay_fault(
         self,
         fault: Exception,
-        stats: SolverStats,
-        x: np.ndarray,
-        x_ckpt: np.ndarray | None,
+        stats: list[SolverStats],
+        culprit: SolverStats,
+        X: np.ndarray,
+        X_ckpt: np.ndarray | None,
     ) -> bool:
-        """Recover from a fault detected inside a restart cycle.
+        """Recover from a fault detected inside a panel restart cycle.
 
-        Returns ``True`` after restoring the restart-boundary
-        checkpoint, charging the replay budget and promoting the
-        binding ingredient one rung through the control plane's
-        breakdown path (a corrupted low-precision unit retries with
-        more headroom); ``False`` tells the caller to re-raise —
-        resilience off, finite guards off for a breakdown, or the
+        The replay semantics: every column in ``stats`` (the columns
+        the faulted round was advancing) rewinds to its
+        restart-boundary checkpoint and counts one replay, and only
+        ``culprit`` — the column the checksum or finite guard flagged —
+        is charged ``detected`` (or ``breakdowns``).  The control
+        plane's breakdown path then promotes the binding ingredient one
+        rung (a corrupted low-precision unit retries with more
+        headroom); that rung change is panel-wide, so it lands in every
+        rewound column's promotion log, flagged or not.
+
+        Returns ``False`` to tell the caller to re-raise: resilience
+        off, finite guards off for a breakdown, or some rewound column's
         replay budget spent (the persistent-fault escape hatch).
         """
-        res, rstats = self.resilience, stats.resilience
-        if res is None or rstats is None or x_ckpt is None:
+        res = self.resilience
+        if res is None or X_ckpt is None:
             return False
         if isinstance(fault, FaultDetectedError):
-            rstats.detected += 1
+            culprit.resilience.detected += 1
         else:
             if not res.finite_guards:
                 return False
-            rstats.breakdowns += 1
-        if rstats.replays >= res.max_replays:
+            culprit.resilience.breakdowns += 1
+        if any(s.resilience.replays >= res.max_replays for s in stats):
             return False
-        rstats.replays += 1
-        np.copyto(x, x_ckpt)
+        for s in stats:
+            s.resilience.replays += 1
+        np.copyto(X, X_ckpt)
         events = self.plane.observe_fault(
-            stats.final_relres, stats.iterations, stats.restarts
+            max(s.final_relres for s in stats),
+            max(s.iterations for s in stats),
+            max(s.restarts for s in stats),
         )
         if events:
             self._apply_events(stats, events)
@@ -622,6 +634,37 @@ class GMRESIRSolver:
         if rs is not None and rs.replays and stats.converged:
             rs.recovered = 1
 
+    def _outer_residual(
+        self, B: np.ndarray, X: np.ndarray, cols: list[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(R, rho)``: fp64 residuals ``B - A X`` of columns ``cols``.
+
+        Algorithm 3 line 7 for the listed panel columns: one fp64
+        matrix pass, then **one** vector all-reduce for their norms
+        (each entry bitwise-equal to a per-column ``dnorm2``).  Fused —
+        the subtraction and the local dots ride the SpMV's memory pass
+        — unless the solver was built with ``fusion=False``, which runs
+        ``matvec_panel`` and then the per-column subtract and dot
+        (bitwise-identical under the reference backend).
+        """
+        n, w = self.problem.nlocal, len(cols)
+        Bc = self.ws.get_panel("panel.b", n, w, np.float64)
+        Xc = self.ws.get_panel("panel.x", n, w, np.float64)
+        R = self.ws.get_panel("panel.r", n, w, np.float64)
+        for i, j in enumerate(cols):
+            np.copyto(Bc[:, i], B[:, j])
+            np.copyto(Xc[:, i], X[:, j])
+        with self.timers.section("spmv"):
+            if self.fusion:
+                local = self.op64.residual_panel_norm2_local(Bc, Xc, out=R)
+            else:
+                self.op64.matvec_panel(Xc, out=R)
+                np.subtract(Bc, R, out=R)
+        with self.timers.section("dot"):
+            if not self.fusion:
+                local = dot_multi(R, R)
+            return R, dnorm2_panel_from_local(self.comm, local)
+
     # ------------------------------------------------------------------
     def solve(
         self,
@@ -632,7 +675,7 @@ class GMRESIRSolver:
         target_residual: float | None = None,
         cancel=None,
     ) -> tuple[np.ndarray, SolverStats]:
-        """Solve ``A x = b``.
+        """Solve ``A x = b``: the width-1 :meth:`solve_panel`.
 
         Parameters
         ----------
@@ -647,208 +690,32 @@ class GMRESIRSolver:
         cancel:
             Optional zero-argument callable polled at every restart
             boundary; returning ``True`` stops the solve there (the
-            partial iterate and a true final residual are still
-            returned, with ``stats.cancelled`` set).  Restart-boundary
-            granularity keeps the workspace and setup cache consistent
-            — a cycle either runs whole or not at all — and ``None``
-            (the default) is bitwise-identical to the historical path.
+            partial iterate is returned with its boundary residual and
+            ``stats.cancelled`` set).
         """
-        comm, timers = self.comm, self.timers
-        n = self.problem.nlocal
-        m = self.restart
+        X, stats = self.solve_panel(
+            np.asarray(b)[:, None],
+            None if x0 is None else np.asarray(x0)[:, None],
+            tol=tol,
+            maxiter=maxiter,
+            target_residual=target_residual,
+            cancel=None if cancel is None else (lambda _j: cancel()),
+        )
+        return X[:, 0], stats[0]
 
-        x = np.zeros(n, dtype=np.float64) if x0 is None else x0.astype(np.float64)
-        stats = SolverStats()
-        self._export_setup_stats(stats)
-        self.plane.reset_observation()
+    def _ensure_slots(self, ncol: int) -> None:
+        """Grow the per-slot Krylov bases and Givens QRs to ``ncol``.
 
-        with timers.section("dot"):
-            rho0 = dnorm2(comm, b)
-        stats.rho0 = rho0
-        self._rho0 = rho0
-        if rho0 == 0.0:
-            stats.converged = True
-            stats.final_relres = 0.0
-            return x, stats
-        abs_tol = target_residual if target_residual is not None else tol * rho0
+        Slots persist across solves (a rung change reallocates the
+        bases, the QRs are rung-independent), so repeated solves at one
+        panel width allocate nothing.
+        """
+        n, m = self.problem.nlocal, self.restart
+        while len(self._Qs) < ncol:
+            self._Qs.append(np.zeros((n, m + 1), dtype=self.Q.dtype))
+        while len(self._qrs) < ncol:
+            self._qrs.append(GivensQR(m))
 
-        r64 = self._r64
-        qr = self._qr
-
-        # Resilience: checkpoint buffer + per-solve counters.  ``None``
-        # (the default) skips both the copy and the stats block — the
-        # hot loop pays one ``is None`` test per restart boundary.
-        x_ckpt = None
-        if self.resilience is not None:
-            stats.resilience = ResilienceStats()
-            x_ckpt = self.ws.get("gmres.ckpt", (n,), np.float64)
-
-        while stats.iterations < maxiter:
-            if x_ckpt is not None:
-                # Restart-boundary checkpoint: a fault detected inside
-                # this cycle discards it and replays from here.  The
-                # copy reads state only, so a fault-free run is bitwise
-                # identical with or without it.
-                np.copyto(x_ckpt, x)
-            try:
-                # --- outer (iterative-refinement) step: double precision ---
-                # Fused: the residual subtraction and its local dot ride
-                # the SpMV's memory pass (spmv_dot / waxpby_dot); only the
-                # scalar reduction crosses ranks.  Bitwise-identical to
-                # the unfused sequence under the reference backend.
-                if self.fusion:
-                    with timers.section("spmv"):
-                        local = self.op64.residual_norm2_local(b, x, out=r64)
-                    with timers.section("dot"):
-                        rho = dnorm2_from_local(comm, local)
-                else:
-                    with timers.section("spmv"):
-                        self.op64.residual(b, x, out=r64)  # line 7, fp64
-                    with timers.section("dot"):
-                        rho = dnorm2(comm, r64)
-                stats.final_relres = rho / rho0
-                if not np.isfinite(rho):
-                    # NaN/inf never compares <= abs_tol: without this
-                    # guard the solver silently burns iterations to
-                    # maxiter on poisoned state.  Typed abort (or, with
-                    # resilience enabled, a checkpoint replay).
-                    raise NumericalBreakdownError("outer residual norm", rho)
-                if rho <= abs_tol:
-                    stats.converged = True
-                    self._note_recovery(stats)
-                    self._export_setup_stats(stats)
-                    return x, stats
-
-                # --- cancellation checkpoint (restart-boundary granularity) ---
-                if cancel is not None and cancel():
-                    stats.cancelled = True
-                    break
-
-                # --- precision control plane: judge the restart boundary ---
-                # Stagnation promotes the binding rung (whole policy in
-                # "policy" mode, the lowest-rung controllers otherwise);
-                # sustained recovery demotes per-ingredient controllers
-                # after the hysteresis window.
-                events = self.plane.observe_restart(
-                    rho, self._relres(rho), stats.iterations, stats.restarts
-                )
-                if events:
-                    self._apply_events(stats, events)
-
-                # Per-rung bindings (a promotion above replaces these).
-                Q = self.Q
-                basis_dtype = self.policy.krylov_basis.dtype
-
-                # Start a restart cycle (lines 11-13).
-                qr.start(rho)
-                np.divide(r64, rho, out=Q[:, 0])  # casts to the basis dtype
-                stats.restarts += 1
-
-                k = 0
-                rho_implicit = rho
-                while k < m and stats.iterations < maxiter:
-                    # --- inner Arnoldi step, low precision allowed ---
-                    qk = Q[:, k]
-                    z = self.M.apply(qk, out=self._z_prec)  # line 18: MG precond
-                    if self._z_op is not None:
-                        np.copyto(self._z_op, z)  # precision cast, no alloc
-                        z = self._z_op
-                    with timers.section("spmv"):
-                        self.op_inner.matvec(z, out=self._w_op)  # line 19
-                    w = self._w_basis
-                    if w is not self._w_op:
-                        np.copyto(w, self._w_op)
-
-                    with timers.section("ortho"):
-                        if self._ortho_fused is not None:
-                            # lines 20-27 with the norm's local reduction
-                            # fused into the second projection pass.
-                            h, local = self._ortho_fused(
-                                comm, Q, k + 1, w, ws=self.ws
-                            )
-                            beta = dnorm2_from_local(comm, local)
-                        else:
-                            h = self._orthogonalize(
-                                comm, Q, k + 1, w, ws=self.ws
-                            )  # lines 20-27
-                            beta = dnorm2(comm, w)
-
-                    stats.iterations += 1
-                    # (Near-)breakdown: the new direction is numerically
-                    # dependent on the basis at this precision.  End the
-                    # cycle without the degenerate column; the IR outer loop
-                    # restarts from a fresh double-precision residual.
-                    pre_ortho_norm = float(np.sqrt(h @ h + beta * beta))
-                    if beta <= 4.0 * np.finfo(basis_dtype).eps * max(
-                        pre_ortho_norm, 1e-300
-                    ):
-                        stats.breakdown = True
-                        break
-
-                    np.divide(
-                        w, np.asarray(beta, dtype=basis_dtype), out=Q[:, k + 1]
-                    )  # lines 28-30
-                    with timers.section("qr_host"):
-                        # Stage the Hessenberg column in the preallocated
-                        # buffer (add_column copies, so the view is safe).
-                        col = self._hcol[: k + 2]
-                        col[: k + 1] = h
-                        col[k + 1] = beta
-                        rho_implicit = qr.add_column(col)  # lines 31-43
-                    k += 1
-                    stats.implicit_history.append(rho_implicit / rho0)
-                    if rho_implicit <= abs_tol:
-                        break  # lines 15-17: implicit convergence
-                self.plane.cycle_completed()
-
-                stats.cycle_lengths.append(k)
-                if k > 0:
-                    # --- solution update (lines 45-47) ---
-                    with timers.section("qr_host"):
-                        y = qr.solve(k)  # t <- H^{-1} t
-                    with timers.section("ortho"):
-                        yc = self._ycast[:k]
-                        np.copyto(yc, y)  # basis-precision cast, no alloc
-                        gemv(Q, k, yc, out=self._u)  # r <- Q t
-                    z = self.M.apply(self._u, out=self._z_prec)  # M^{-1} r
-                    with timers.section("waxpby"):
-                        np.add(x, z, out=x)  # fp64 update mandated
-                elif stats.breakdown:
-                    # Breakdown with an empty cycle: this precision cannot
-                    # extend the basis at all.  With rungs left on the
-                    # ladder, promote and retry; otherwise further restarts
-                    # would spin.
-                    events = self.plane.observe_breakdown(
-                        rho, self._relres(rho), stats.iterations, stats.restarts
-                    )
-                    if events:
-                        self._apply_events(stats, events)
-                        stats.breakdown = False
-                        continue
-                    break
-            except (FaultDetectedError, NumericalBreakdownError) as fault:
-                if not self._replay_fault(fault, stats, x, x_ckpt):
-                    raise
-                continue
-
-        # Final true residual (covers the maxiter and breakdown exits).
-        if self.fusion:
-            with timers.section("spmv"):
-                local = self.op64.residual_norm2_local(b, x, out=r64)
-            with timers.section("dot"):
-                rho = dnorm2_from_local(comm, local)
-        else:
-            with timers.section("spmv"):
-                self.op64.residual(b, x, out=r64)
-            with timers.section("dot"):
-                rho = dnorm2(comm, r64)
-        stats.final_relres = rho / rho0
-        stats.converged = rho <= abs_tol
-        self._note_recovery(stats)
-        self._export_setup_stats(stats)
-        return x, stats
-
-    # ------------------------------------------------------------------
     def solve_panel(
         self,
         B: np.ndarray,
@@ -863,14 +730,15 @@ class GMRESIRSolver:
         ``B`` is ``(nlocal, N)`` (any layout; consumed column-major).
         All active columns advance in lockstep restart cycles so the
         operator applications become *panel* kernels: one
-        ``matvec_panel`` / ``apply_panel`` / fused panel residual per
+        ``matvec_panel`` / ``apply_panel`` / panel outer residual per
         step, with the matrix block charged **once** per panel (the
         amortization ``DistributedOperator.matrix_passes`` /
         ``rhs_columns`` records).  Per column the arithmetic sequence —
         residuals, projections, Givens rotations, convergence tests —
-        is exactly the single-RHS :meth:`solve` sequence, so every
-        column's result is bitwise-equal to solving it alone (the
-        acceptance test for the batched pipeline).
+        depends on that column alone, so every column's result is
+        bitwise-equal to solving it alone (:meth:`solve` is this method
+        at width 1).  Column ``j`` runs in the solver-owned Krylov
+        basis and Givens QR of slot ``j``.
 
         Columns **deflate**: a column that converges at a restart
         boundary (or exhausts ``maxiter``) leaves the panel and later
@@ -879,14 +747,20 @@ class GMRESIRSolver:
         change rebinds the whole panel, exactly one schedule for all
         columns.
 
+        With a :class:`~repro.resilience.config.ResilienceConfig` the
+        panel checkpoints ``X`` at every restart boundary, and a fault
+        detected inside a round (an ABFT checksum mismatch in a panel
+        SpMV, a non-finite outer residual) replays the round from the
+        checkpoint; see :meth:`_replay_fault` for the per-column
+        accounting.  Each column carries its own
+        :class:`~repro.resilience.stats.ResilienceStats`.
+
         ``cancel``, when given, is a one-argument callable polled per
         column (``cancel(j) -> bool``) at every panel boundary: a
         ``True`` deflates column ``j`` exactly like convergence would
         — it leaves the panel mid-solve with ``stats[j].cancelled``
         set and its boundary residual recorded — while the surviving
-        columns' arithmetic is untouched (deflation is already the
-        panel's contract).  ``None`` (the default) is bitwise-identical
-        to the historical path.
+        columns' arithmetic is untouched.
 
         Returns ``(X, stats)`` with one :class:`SolverStats` per
         column.
@@ -907,11 +781,11 @@ class GMRESIRSolver:
         stats = [SolverStats() for _ in range(ncol)]
         self._export_setup_stats(*stats)
         self.plane.reset_observation()
+        self._ensure_slots(ncol)
 
         with timers.section("dot"):
-            # Batched: N local dots, then ONE vector all-reduce — each
-            # entry bitwise-equal to the per-column dnorm2 it replaces
-            # (same local kernel, same fixed-rank-order reduction).
+            # N local dots, then ONE vector all-reduce — each entry
+            # bitwise-equal to a per-column dnorm2.
             rho0 = dnorm2_panel_from_local(comm, dot_multi(B, B))
         for j in range(ncol):
             stats[j].rho0 = rho0[j]
@@ -924,235 +798,233 @@ class GMRESIRSolver:
             abs_tol = tol * rho0
         active = [j for j in range(ncol) if rho0[j] != 0.0]
 
-        # Per-column Krylov state (basis + QR); the basis reallocates
-        # on a rung change, the QR factorizations are rung-independent.
-        basis_dtype = self.policy.krylov_basis.dtype
-        Qs = {j: np.zeros((n, m + 1), dtype=basis_dtype) for j in active}
-        qrs = {j: GivensQR(m) for j in active}
+        # Resilience: checkpoint panel + per-column counters.  ``None``
+        # (the default) skips both the copy and the stats blocks.
+        X_ckpt = None
+        if self.resilience is not None:
+            for j in active:
+                stats[j].resilience = ResilienceStats()
+            X_ckpt = self.ws.get_panel("panel.ckpt", n, ncol, np.float64)
         # Columns stopped for good by an empty-cycle breakdown with no
-        # rung left to promote (the solo solver's `break` exit).  A
-        # breakdown with k > 0 does NOT halt a column — like the solo
-        # solver it updates and keeps restarting (the flag stays in
+        # rung left to promote.  A breakdown with k > 0 does NOT halt a
+        # column — it updates and keeps restarting (the flag stays in
         # its stats).
         halted: set[int] = set()
 
         while active:
-            nact = len(active)
-            # --- panel outer (IR) step: one fp64 matrix pass for all
-            # active columns; per-column local dots ride the fused
-            # waxpby passes (bitwise-equal to the solo sequence) ---
-            Bact = self.ws.get_panel("panel.b", n, nact, np.float64)
-            Xact = self.ws.get_panel("panel.x", n, nact, np.float64)
-            Ract = self.ws.get_panel("panel.r", n, nact, np.float64)
-            for i, j in enumerate(active):
-                np.copyto(Bact[:, i], B[:, j])
-                np.copyto(Xact[:, i], X[:, j])
-            with timers.section("spmv"):
-                locals_sq = self.op64.residual_panel_norm2_local(
-                    Bact, Xact, out=Ract
-                )
-            with timers.section("dot"):
-                # One vector all-reduce for the whole panel's norms
-                # (O(1) collectives in the panel width).
-                rhos = dnorm2_panel_from_local(comm, locals_sq)
-            if not np.all(np.isfinite(rhos)):
-                # Typed abort instead of burning every column to
-                # maxiter on poisoned state.  The panel path has no
-                # per-cycle replay (lockstep columns share one
-                # schedule); the service's retry path re-runs the
-                # whole batch instead.
-                bad = int(np.flatnonzero(~np.isfinite(rhos))[0])
-                raise NumericalBreakdownError(
-                    f"panel outer residual norm (column {active[bad]})",
-                    float(rhos[bad]),
-                )
+            if X_ckpt is not None:
+                # Restart-boundary checkpoint; the copy reads state
+                # only, so a fault-free run is bitwise identical with
+                # or without it.
+                np.copyto(X_ckpt, X)
+            # ``rewound``: the columns a fault in this round replays;
+            # ``inflight``: the panel the SpMV in flight serves (a
+            # FaultDetectedError's column indexes it).
+            rewound = inflight = active
+            try:
+                # --- panel outer (IR) step: one fp64 matrix pass ---
+                Ract, rhos = self._outer_residual(B, X, active)
+                for i, j in enumerate(active):
+                    stats[j].final_relres = rhos[i] / rho0[j]
+                if not np.all(np.isfinite(rhos)):
+                    # NaN/inf never compares <= abs_tol: without this
+                    # guard the panel silently burns iterations to
+                    # maxiter on poisoned state.  Typed abort (or, with
+                    # resilience enabled, a checkpoint replay).
+                    bad = int(np.flatnonzero(~np.isfinite(rhos))[0])
+                    fault = NumericalBreakdownError(
+                        f"outer residual norm (column {active[bad]})",
+                        float(rhos[bad]),
+                    )
+                    fault.column = bad
+                    raise fault
 
-            # --- convergence + deflation at the panel boundary ---
-            cycle_cols: list[tuple[int, int]] = []
-            worst: tuple[float, float] | None = None
-            for i, j in enumerate(active):
-                stats[j].final_relres = rhos[i] / rho0[j]
-                if rhos[i] <= abs_tol[j]:
-                    stats[j].converged = True
-                elif cancel is not None and cancel(j):
-                    # Cancellation deflates the column at the boundary
-                    # — the panel's normal narrowing path, so the other
-                    # columns' lockstep arithmetic is unaffected.
-                    stats[j].cancelled = True
-                elif stats[j].iterations < maxiter and j not in halted:
-                    cycle_cols.append((i, j))
-                    relres = rhos[i] / rho0[j] if rho0[j] else np.inf
-                    if worst is None or relres > worst[1]:
-                        worst = (rhos[i], relres)
-            if not cycle_cols:
-                break
-
-            # --- precision control plane: one verdict per panel ---
-            events = self.plane.observe_restart(
-                worst[0],
-                worst[1],
-                max(stats[j].iterations for _, j in cycle_cols),
-                max(stats[j].restarts for _, j in cycle_cols),
-            )
-            if events:
-                for _, j in cycle_cols:
-                    stats[j].promotions.extend(events)
-                self._shared_precond = None
-                self._bind_policy(self.plane.live_policy())
-                basis_dtype = self.policy.krylov_basis.dtype
-                for _, j in cycle_cols:
-                    Qs[j] = np.zeros((n, m + 1), dtype=basis_dtype)
-
-            # --- start a lockstep restart cycle (lines 11-13) ---
-            klast: dict[int, int] = {}
-            for i, j in cycle_cols:
-                qrs[j].start(rhos[i])
-                np.divide(Ract[:, i], rhos[i], out=Qs[j][:, 0])
-                stats[j].restarts += 1
-                klast[j] = 0
-
-            cols = list(cycle_cols)
-            k = 0
-            while k < m and cols:
-                cols = [
-                    (i, j) for i, j in cols if stats[j].iterations < maxiter
-                ]
-                if not cols:
+                # --- convergence + deflation at the panel boundary ---
+                cycle_cols: list[tuple[int, int]] = []
+                worst: tuple[float, float] | None = None
+                for i, j in enumerate(active):
+                    if rhos[i] <= abs_tol[j]:
+                        stats[j].converged = True
+                    elif cancel is not None and cancel(j):
+                        stats[j].cancelled = True
+                    elif stats[j].iterations < maxiter and j not in halted:
+                        cycle_cols.append((i, j))
+                        relres = rhos[i] / rho0[j]
+                        if worst is None or relres > worst[1]:
+                            worst = (rhos[i], relres)
+                if not cycle_cols:
                     break
-                nw = len(cols)
-                # --- panel inner Arnoldi step (one matrix pass) ---
-                Qk = self.ws.get_panel("panel.qk", n, nw, basis_dtype)
-                for idx, (_, j) in enumerate(cols):
-                    np.copyto(Qk[:, idx], Qs[j][:, k])
-                prec_dtype = self.M.precision.dtype
-                Zp = self.ws.get_panel("panel.z", n, nw, prec_dtype)
-                self.M.apply_panel(Qk, out=Zp)  # line 18: MG precond
-                if prec_dtype != self.op_inner.dtype:
-                    Zin = self.ws.get_panel(
-                        "panel.zop", n, nw, self.op_inner.dtype
-                    )
-                    np.copyto(Zin, Zp)  # precision cast, no alloc
-                else:
-                    Zin = Zp
-                Wp = self.ws.get_panel("panel.w", n, nw, self.op_inner.dtype)
-                with timers.section("spmv"):
-                    self.op_inner.matvec_panel(Zin, out=Wp)  # line 19
-                if self.op_inner.dtype != basis_dtype:
-                    Wb = self.ws.get_panel("panel.wb", n, nw, basis_dtype)
-                    np.copyto(Wb, Wp)
-                else:
-                    Wb = Wp
+                rewound = [j for _, j in cycle_cols]
 
-                # --- per-column orthogonalization + Givens update ---
-                still: list[tuple[int, int]] = []
-                for idx, (i, j) in enumerate(cols):
-                    Q = Qs[j]
-                    w = Wb[:, idx]
-                    with timers.section("ortho"):
-                        if self._ortho_fused is not None:
-                            h, local = self._ortho_fused(
-                                comm, Q, k + 1, w, ws=self.ws
-                            )
-                            beta = dnorm2_from_local(comm, local)
-                        else:
-                            h = self._orthogonalize(
-                                comm, Q, k + 1, w, ws=self.ws
-                            )
-                            beta = dnorm2(comm, w)
-                    stats[j].iterations += 1
-                    pre_ortho_norm = float(np.sqrt(h @ h + beta * beta))
-                    if beta <= 4.0 * np.finfo(basis_dtype).eps * max(
-                        pre_ortho_norm, 1e-300
-                    ):
-                        stats[j].breakdown = True
-                        continue  # column leaves the cycle
-                    np.divide(
-                        w, np.asarray(beta, dtype=basis_dtype), out=Q[:, k + 1]
-                    )
-                    with timers.section("qr_host"):
-                        col = self._hcol[: k + 2]
-                        col[: k + 1] = h
-                        col[k + 1] = beta
-                        rho_j = qrs[j].add_column(col)
-                    klast[j] = k + 1
-                    stats[j].implicit_history.append(rho_j / rho0[j])
-                    if rho_j > abs_tol[j]:
-                        still.append((i, j))
-                    # else: implicit convergence — deflate from the
-                    # cycle (lines 15-17); the panel boundary's true
-                    # residual has final say.
-                cols = still
-                k += 1
-            self.plane.cycle_completed()
-
-            # --- solution update (lines 45-47): per-column host QR
-            # back-solves and basis GEMVs feed ONE panel V-cycle, so
-            # the update's preconditioner communication rides wide
-            # exchanges like every other panel application.  Column
-            # ``j``'s correction is the exact per-column arithmetic of
-            # the solo update (the panel V-cycle composes the same
-            # per-column kernels in column order).
-            upd_cols = []
-            for _, j in cycle_cols:
-                kj = klast[j]
-                stats[j].cycle_lengths.append(kj)
-                if kj:
-                    upd_cols.append(j)
-            if upd_cols:
-                nupd = len(upd_cols)
-                Up = self.ws.get_panel("panel.u", n, nupd, basis_dtype)
-                for idx, j in enumerate(upd_cols):
-                    kj = klast[j]
-                    with timers.section("qr_host"):
-                        y = qrs[j].solve(kj)
-                    with timers.section("ortho"):
-                        yc = self._ycast[:kj]
-                        np.copyto(yc, y)
-                        gemv(Qs[j], kj, yc, out=Up[:, idx])
-                Zup = self.ws.get_panel(
-                    "panel.zup", n, nupd, self.M.precision.dtype
-                )
-                self.M.apply_panel(Up, out=Zup)  # M^{-1}, one wide pass
-                with timers.section("waxpby"):
-                    for idx, j in enumerate(upd_cols):
-                        xj = X[:, j]
-                        np.add(xj, Zup[:, idx], out=xj)  # fp64 mandated
-
-            # Empty-cycle breakdown columns: this precision cannot
-            # extend their basis at all.  With rungs left on the
-            # ladder, one panel-wide promotion retries them next
-            # boundary (their breakdown flag resets, like the solo
-            # promote-continue path); on a fixed plane they halt for
-            # good (the solo `break` exit).
-            stuck = [
-                j
-                for _, j in cycle_cols
-                if klast[j] == 0 and stats[j].breakdown
-            ]
-            if stuck:
-                events = self.plane.observe_breakdown(
+                # --- precision control plane: one verdict per panel ---
+                # Stagnation promotes the binding rung (whole policy in
+                # "policy" mode, the lowest-rung controllers otherwise);
+                # sustained recovery demotes per-ingredient controllers
+                # after the hysteresis window.
+                events = self.plane.observe_restart(
                     worst[0],
                     worst[1],
-                    max(stats[j].iterations for j in stuck),
-                    max(stats[j].restarts for j in stuck),
+                    max(stats[j].iterations for j in rewound),
+                    max(stats[j].restarts for j in rewound),
                 )
                 if events:
-                    for _, j in cycle_cols:
-                        stats[j].promotions.extend(events)
-                    self._shared_precond = None
-                    self._bind_policy(self.plane.live_policy())
-                    basis_dtype = self.policy.krylov_basis.dtype
-                    for _, j in cycle_cols:
-                        Qs[j] = np.zeros((n, m + 1), dtype=basis_dtype)
-                    for j in stuck:
-                        stats[j].breakdown = False
-                else:
-                    halted.update(stuck)
+                    self._apply_events([stats[j] for j in rewound], events)
+                basis_dtype = self.policy.krylov_basis.dtype
+
+                # --- start a lockstep restart cycle (lines 11-13) ---
+                klast: dict[int, int] = {}
+                for i, j in cycle_cols:
+                    self._qrs[j].start(rhos[i])
+                    np.divide(Ract[:, i], rhos[i], out=self._Qs[j][:, 0])
+                    stats[j].restarts += 1
+                    klast[j] = 0
+
+                cols = rewound
+                k = 0
+                while k < m:
+                    cols = [j for j in cols if stats[j].iterations < maxiter]
+                    if not cols:
+                        break
+                    inflight = cols
+                    nw = len(cols)
+                    # --- panel inner Arnoldi step (one matrix pass) ---
+                    Qk = self.ws.get_panel("panel.qk", n, nw, basis_dtype)
+                    for idx, j in enumerate(cols):
+                        np.copyto(Qk[:, idx], self._Qs[j][:, k])
+                    prec_dtype = self.M.precision.dtype
+                    Zp = self.ws.get_panel("panel.z", n, nw, prec_dtype)
+                    self.M.apply_panel(Qk, out=Zp)  # line 18: MG precond
+                    if prec_dtype != self.op_inner.dtype:
+                        Zin = self.ws.get_panel(
+                            "panel.zop", n, nw, self.op_inner.dtype
+                        )
+                        np.copyto(Zin, Zp)  # precision cast, no alloc
+                    else:
+                        Zin = Zp
+                    Wp = self.ws.get_panel("panel.w", n, nw, self.op_inner.dtype)
+                    with timers.section("spmv"):
+                        self.op_inner.matvec_panel(Zin, out=Wp)  # line 19
+                    if self.op_inner.dtype != basis_dtype:
+                        Wb = self.ws.get_panel("panel.wb", n, nw, basis_dtype)
+                        np.copyto(Wb, Wp)
+                    else:
+                        Wb = Wp
+
+                    # --- per-column orthogonalization + Givens update ---
+                    still: list[int] = []
+                    for idx, j in enumerate(cols):
+                        Q = self._Qs[j]
+                        w = Wb[:, idx]
+                        with timers.section("ortho"):
+                            if self._ortho_fused is not None:
+                                # lines 20-27 with the norm's local
+                                # reduction fused into the second
+                                # projection pass.
+                                h, local = self._ortho_fused(
+                                    comm, Q, k + 1, w, ws=self.ws
+                                )
+                                beta = dnorm2_from_local(comm, local)
+                            else:
+                                h = self._orthogonalize(
+                                    comm, Q, k + 1, w, ws=self.ws
+                                )
+                                beta = dnorm2(comm, w)
+                        stats[j].iterations += 1
+                        # (Near-)breakdown: the new direction is
+                        # numerically dependent on the basis at this
+                        # precision.  The column leaves the cycle
+                        # without the degenerate column; the IR outer
+                        # loop restarts it from a fresh fp64 residual.
+                        pre_ortho_norm = float(np.sqrt(h @ h + beta * beta))
+                        if beta <= 4.0 * np.finfo(basis_dtype).eps * max(
+                            pre_ortho_norm, 1e-300
+                        ):
+                            stats[j].breakdown = True
+                            continue
+                        np.divide(
+                            w,
+                            np.asarray(beta, dtype=basis_dtype),
+                            out=Q[:, k + 1],
+                        )  # lines 28-30
+                        with timers.section("qr_host"):
+                            # Stage the Hessenberg column in the
+                            # preallocated buffer (add_column copies).
+                            col = self._hcol[: k + 2]
+                            col[: k + 1] = h
+                            col[k + 1] = beta
+                            rho_j = self._qrs[j].add_column(col)  # lines 31-43
+                        klast[j] = k + 1
+                        stats[j].implicit_history.append(rho_j / rho0[j])
+                        if rho_j > abs_tol[j]:
+                            still.append(j)
+                        # else: implicit convergence (lines 15-17) — the
+                        # column leaves the cycle; the boundary's true
+                        # residual has final say.
+                    cols = still
+                    k += 1
+                self.plane.cycle_completed()
+
+                # --- solution update (lines 45-47): per-column host QR
+                # back-solves and basis GEMVs feed ONE panel V-cycle ---
+                upd_cols = []
+                for j in rewound:
+                    stats[j].cycle_lengths.append(klast[j])
+                    if klast[j]:
+                        upd_cols.append(j)
+                if upd_cols:
+                    nupd = len(upd_cols)
+                    Up = self.ws.get_panel("panel.u", n, nupd, basis_dtype)
+                    for idx, j in enumerate(upd_cols):
+                        kj = klast[j]
+                        with timers.section("qr_host"):
+                            y = self._qrs[j].solve(kj)  # t <- H^{-1} t
+                        with timers.section("ortho"):
+                            yc = self._ycast[:kj]
+                            np.copyto(yc, y)  # basis-precision cast
+                            gemv(self._Qs[j], kj, yc, out=Up[:, idx])
+                    Zup = self.ws.get_panel(
+                        "panel.zup", n, nupd, self.M.precision.dtype
+                    )
+                    self.M.apply_panel(Up, out=Zup)  # M^{-1}, one wide pass
+                    with timers.section("waxpby"):
+                        for idx, j in enumerate(upd_cols):
+                            xj = X[:, j]
+                            np.add(xj, Zup[:, idx], out=xj)  # fp64 mandated
+
+                # Empty-cycle breakdown columns: this precision cannot
+                # extend their basis at all.  With rungs left on the
+                # ladder, one panel-wide promotion retries them next
+                # boundary (their breakdown flag resets); on a fixed
+                # plane they halt for good.
+                stuck = [
+                    j for j in rewound if klast[j] == 0 and stats[j].breakdown
+                ]
+                if stuck:
+                    events = self.plane.observe_breakdown(
+                        worst[0],
+                        worst[1],
+                        max(stats[j].iterations for j in stuck),
+                        max(stats[j].restarts for j in stuck),
+                    )
+                    if events:
+                        self._apply_events([stats[j] for j in rewound], events)
+                        for j in stuck:
+                            stats[j].breakdown = False
+                    else:
+                        halted.update(stuck)
+            except (FaultDetectedError, NumericalBreakdownError) as fault:
+                culprit = stats[inflight[fault.column or 0]]
+                rewound_stats = [stats[j] for j in rewound]
+                if not self._replay_fault(
+                    fault, rewound_stats, culprit, X, X_ckpt
+                ):
+                    raise
 
             active = [
                 j
-                for _, j in cycle_cols
+                for j in rewound
                 if not stats[j].converged
+                and not stats[j].cancelled
                 and stats[j].iterations < maxiter
                 and j not in halted
             ]
@@ -1169,22 +1041,12 @@ class GMRESIRSolver:
             and not stats[j].cancelled
         ]
         if pending:
-            npend = len(pending)
-            Bact = self.ws.get_panel("panel.b", n, npend, np.float64)
-            Xact = self.ws.get_panel("panel.x", n, npend, np.float64)
-            Ract = self.ws.get_panel("panel.r", n, npend, np.float64)
+            _, rhos = self._outer_residual(B, X, pending)
             for i, j in enumerate(pending):
-                np.copyto(Bact[:, i], B[:, j])
-                np.copyto(Xact[:, i], X[:, j])
-            with timers.section("spmv"):
-                locals_sq = self.op64.residual_panel_norm2_local(
-                    Bact, Xact, out=Ract
-                )
-            with timers.section("dot"):
-                rhos = dnorm2_panel_from_local(comm, locals_sq)
-                for i, j in enumerate(pending):
-                    stats[j].final_relres = rhos[i] / rho0[j]
-                    stats[j].converged = rhos[i] <= abs_tol[j]
+                stats[j].final_relres = rhos[i] / rho0[j]
+                stats[j].converged = rhos[i] <= abs_tol[j]
+        for s in stats:
+            self._note_recovery(s)
         self._export_setup_stats(*stats)
         return X, stats
 

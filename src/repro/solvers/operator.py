@@ -1,23 +1,27 @@
 """Distributed sparse operator: SpMV with halo exchange.
 
 Wraps a local matrix (any registered format) with its halo-exchange
-plan and a persistent full-vector workspace, so every matvec is: copy
-owned part, exchange ghosts, local SpMV through the kernel registry.
+plan, so every application is: copy the owned rows of a column-major
+panel into a pooled full-panel workspace, exchange every column's
+ghosts in one wide message per neighbor, run the local panel SpMV
+through the kernel registry.  :meth:`DistributedOperator.matvec_panel`
+is the one implementation; the single-vector ``matvec`` is its width-1
+call.
 
 With ``overlap=True`` the operator partitions the matrix into
 interior/boundary row blocks (:mod:`repro.sparse.partitioned`) and
-every ``matvec`` runs the paper's two-stream schedule (§3.2.3): halo
+every application runs the paper's two-stream schedule (§3.2.3): halo
 in flight while the interior block computes, boundary block after the
-ghosts land in the vector tail.  The overlapped and sequential
-schedules execute identical block kernels in identical order, so they
-are bitwise-equal — only the communication timing differs.
-``matvec_split`` remains as the row-subset-kernel variant of the same
-decomposition (identical numerics through a different kernel path).
+ghosts land in the panel's ghost rows.  ``matvec_sequential`` (full
+exchange, then both blocks) and ``matvec_split`` (row-subset kernels)
+remain as independent single-vector reference schedules the tests
+cross-check the panel path against.
 
 The operator owns (or shares) a :class:`~repro.backends.workspace.Workspace`
-arena; with ``out=`` buffers supplied by the caller, ``matvec`` and
-``residual`` are allocation-free after warmup — including the halo
-path, whose pack buffers and transport messages are pooled.
+arena; with ``out=`` buffers supplied by the caller, ``matvec``,
+``matvec_panel`` and ``residual`` are allocation-free after warmup —
+including the halo path, whose pack buffers and transport messages are
+pooled.
 """
 
 from __future__ import annotations
@@ -26,15 +30,12 @@ import numpy as np
 
 from repro.backends.dispatch import (
     spmv,
-    spmv_boundary,
     spmv_boundary_multi,
-    spmv_dot,
     spmv_dot_multi,
-    spmv_interior,
     spmv_interior_multi,
     spmv_multi,
     spmv_rows,
-    waxpby_dot,
+    waxpby_dot_multi,
 )
 from repro.backends.workspace import Workspace
 from repro.geometry.halo import HaloPattern
@@ -74,9 +75,10 @@ class DistributedOperator:
             )
         else:
             self.P = None
-        self._xfull = np.zeros(
-            self.nlocal + halo_pattern.n_ghost, dtype=A.dtype
-        )
+        self.nfull = self.nlocal + halo_pattern.n_ghost
+        # Owned + ghost staging for the single-vector reference
+        # schedules (matvec_sequential / matvec_split).
+        self._xfull = np.zeros(self.nfull, dtype=A.dtype)
         # Matrix-reuse accounting for the batched pipeline: each full
         # application increments ``matrix_passes`` by the number of
         # times the matrix block is streamed and ``rhs_columns`` by the
@@ -87,8 +89,8 @@ class DistributedOperator:
         self.matrix_passes = 0
         self.rhs_columns = 0
         #: Optional :class:`~repro.resilience.abft.ABFTCheck` verifying
-        #: every single-vector matvec output against the cached
-        #: column-sum checksum.  ``None`` (the default) adds nothing to
+        #: every matvec output column against the cached column-sum
+        #: checksum.  ``None`` (the default) adds nothing to
         #: the hot path; the check itself is read-only, so attaching
         #: one never changes results on fault-free runs.
         self.abft = None
@@ -99,77 +101,45 @@ class DistributedOperator:
 
     @property
     def dtype(self) -> np.dtype:
-        return self._xfull.dtype
+        return self.A.dtype
 
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Apply the operator; overlapped when the layout allows it."""
-        if self.P is not None:
-            return self.matvec_overlapped(x, out=out)
-        xf = self._xfull
-        xf[: self.nlocal] = x
-        self.halo_ex.exchange(xf)
-        self.matrix_passes += 1
-        self.rhs_columns += 1
-        if self.abft is None:
-            return spmv(self.A, xf, out=out, ws=self.ws)
-        # The scope marker tells a covered-site fault injector this
-        # dispatch's output is checksum-verified; it reads state only,
-        # so the fault-free path stays bitwise identical.
-        with abft_scope():
-            y = spmv(self.A, xf, out=out, ws=self.ws)
-        self.abft.verify(xf, y)
+        """Apply the operator to one vector: the width-1 :meth:`matvec_panel`."""
+        y = out if out is not None else np.empty(self.nlocal, dtype=self.dtype)
+        self.matvec_panel(x[:, None], out=y[:, None])
         return y
 
     def matvec_overlapped(
         self, x: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Two-stream schedule: interior block SpMV hides the halo.
-
-        Requires ``overlap=True`` construction.  Bitwise-equal to
-        :meth:`matvec_sequential` (same block kernels, same order).
-        """
-        self.matrix_passes += 1
-        self.rhs_columns += 1
-        y = out if out is not None else np.empty(self.nlocal, dtype=self.dtype)
-        self._apply_overlapped(x, y)
-        return y
-
-    def _apply_overlapped(self, x: np.ndarray, y: np.ndarray) -> None:
-        """The overlap schedule proper (no reuse accounting)."""
-        P = self._require_partition()
-        xf = self._xfull
-        xf[: self.nlocal] = x
-        pending = self.halo_ex.exchange_begin(xf)
-        # Interior block computes while messages are in transit ...
-        spmv_interior(P, xf, out=y, ws=self.ws)
-        # ... land the ghosts in the vector tail, then the boundary block.
-        self.halo_ex.exchange_finish(pending, xf)
-        if self.abft is None:
-            spmv_boundary(P, xf, out=y, ws=self.ws)
-            return
-        with abft_scope():
-            spmv_boundary(P, xf, out=y, ws=self.ws)
-        self.abft.verify(xf, y)
+        """:meth:`matvec` on the overlapped schedule (``overlap=True`` only)."""
+        self._require_partition()
+        return self.matvec(x, out=out)
 
     def matvec_panel(
         self, X: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
         """Panel matvec: one operator application serving every column.
 
-        ``X`` is a column-major ``(nlocal, N)`` panel; column ``j`` of
-        the result is bitwise-equal to ``matvec(X[:, j])``.  The halo
-        is panel-native: **one wide exchange** per application ships
+        ``X`` is a column-major ``(nlocal, N)`` panel.  The halo is
+        panel-native: **one wide exchange** per application ships
         every column's boundary values in one message per neighbor
         (message count is O(1) in the panel width; bytes scale with
         it).  On the overlapped schedule the whole panel's interior
         compute hides that single wide exchange
-        (``spmv_interior_multi`` / ``spmv_boundary_multi``); on the
-        sequential schedule the wide exchange precedes one
-        ``spmv_multi`` — the registry seam a single-pass backend serves
-        with one matrix stream for the whole panel.  Either way the
-        panel is booked as **one** matrix pass serving N columns, which
-        is what the measured ``rhs_columns / matrix_passes``
-        amortization records.
+        (``spmv_interior_multi`` / ``spmv_boundary_multi``) — bitwise
+        equal to :meth:`matvec_sequential` per column, since both run
+        the same block kernels in the same order; on the sequential
+        schedule the wide exchange precedes one ``spmv_multi`` — the
+        registry seam a single-pass backend serves with one matrix
+        stream for the whole panel.  Either way the panel is booked as
+        **one** matrix pass serving N columns, which is what the
+        measured ``rhs_columns / matrix_passes`` amortization records.
+
+        With an ABFT verifier attached every column is checked against
+        the column-sum checksum; a mismatch raises
+        :class:`~repro.resilience.errors.FaultDetectedError` carrying
+        the panel column it found.
         """
         ncol = X.shape[1]
         Y = (
@@ -179,9 +149,11 @@ class DistributedOperator:
         )
         self.matrix_passes += 1
         self.rhs_columns += ncol
-        nfull = self._xfull.shape[0]
-        XF = self.ws.get_panel("op.panel.xfull", nfull, ncol, self.dtype)
+        XF = self.ws.get_panel("op.panel.xfull", self.nfull, ncol, self.dtype)
         XF[: self.nlocal, :] = X
+        # The scope marker tells a covered-site fault injector the final
+        # write below is checksum-verified; it reads state only, so the
+        # fault-free path stays bitwise identical.
         if self.P is not None:
             pending = self.halo_ex.exchange_begin_panel(XF)
             # Every column's interior rows compute while the single
@@ -189,10 +161,15 @@ class DistributedOperator:
             spmv_interior_multi(self.P, XF, out=Y, ws=self.ws)
             # ... land all ghosts at once, then the boundary rows.
             self.halo_ex.exchange_finish_panel(pending, XF)
-            spmv_boundary_multi(self.P, XF, out=Y, ws=self.ws)
-            return Y
-        self.halo_ex.exchange_panel(XF)
-        spmv_multi(self.A, XF, out=Y, ws=self.ws)
+            with abft_scope(self.abft is not None):
+                spmv_boundary_multi(self.P, XF, out=Y, ws=self.ws)
+        else:
+            self.halo_ex.exchange_panel(XF)
+            with abft_scope(self.abft is not None):
+                spmv_multi(self.A, XF, out=Y, ws=self.ws)
+        if self.abft is not None:
+            for j in range(ncol):
+                self.abft.verify(XF[:, j], Y[:, j], column=j)
         return Y
 
     def matvec_sequential(
@@ -205,11 +182,10 @@ class DistributedOperator:
         self.halo_ex.exchange(xf)
         self.matrix_passes += 1
         self.rhs_columns += 1
-        if self.abft is None:
-            return spmv(P, xf, out=out, ws=self.ws)
-        with abft_scope():
+        with abft_scope(self.abft is not None):
             y = spmv(P, xf, out=out, ws=self.ws)
-        self.abft.verify(xf, y)
+        if self.abft is not None:
+            self.abft.verify(xf, y)
         return y
 
     def _require_partition(self):
@@ -248,56 +224,37 @@ class DistributedOperator:
     ) -> np.ndarray:
         """``b - A x`` in this operator's precision."""
         ax = self.ws.get("op.residual.ax", (self.nlocal,), self.dtype)
-        self.matvec(x, out=ax)
-        if out is None:
-            return b - ax
-        np.subtract(b, ax, out=out)
-        return out
-
-    def residual_norm2_local(
-        self, b: np.ndarray, x: np.ndarray, out: np.ndarray
-    ) -> float:
-        """``out = b - A x`` plus the *local* ``out . out``, fused.
-
-        GMRES-IR's residual check through the fused-motif pipeline: on
-        the sequential schedule the whole evaluation is one
-        ``spmv_dot`` matrix pass; on the overlapped schedule the SpMV
-        keeps its two-stream halo overlap and the subtraction + dot
-        fuse into one vector pass (``waxpby_dot``).  Both compose the
-        registry's kernels operation-for-operation under the reference
-        backend, so the result is bitwise-identical to the unfused
-        ``residual`` + ``dot`` sequence; the caller still owns the
-        cross-rank reduction.
-        """
-        if self.P is not None:
-            ax = self.ws.get("op.residual.ax", (self.nlocal,), self.dtype)
-            self.matvec_overlapped(x, out=ax)
-            _, local = waxpby_dot(1.0, b, -1.0, ax, out=out, ws=self.ws)
-            return local
-        xf = self._xfull
-        xf[: self.nlocal] = x
-        self.halo_ex.exchange(xf)
-        self.matrix_passes += 1
-        self.rhs_columns += 1
-        _, local = spmv_dot(self.A, xf, b, out=out, ws=self.ws)
-        return local
+        return np.subtract(b, self.matvec(x, out=ax), out=out)
 
     def residual_panel_norm2_local(
         self, B: np.ndarray, X: np.ndarray, out: np.ndarray
     ) -> np.ndarray:
-        """Panel residual + per-column local ``r . r``, fused.
+        """Panel residual ``out = B - A X`` plus per-column local ``r . r``.
 
-        ``out[:, j] = B[:, j] - A X[:, j]``; returns the float64 array
-        of local squared norms.  Column ``j`` is bitwise-equal to the
-        single-RHS :meth:`residual_norm2_local` (the panel matvec and
-        the fused per-column waxpby+dot compose the same kernels
-        operation-for-operation); the matrix pass is charged once for
-        the whole panel.
+        GMRES-IR's outer residual check through the fused-motif
+        pipeline; returns the float64 array of local squared norms (the
+        caller owns the cross-rank reduction).  On the sequential
+        schedule the whole evaluation is one ``spmv_dot_multi`` matrix
+        pass; on the overlapped schedule the SpMV keeps its two-stream
+        halo overlap (and its ABFT check) and the subtraction + dot
+        fuse into one ``waxpby_dot_multi`` vector pass.  Both compose
+        the registry's kernels operation-for-operation under the
+        reference backend, so every column is bitwise-identical to
+        :meth:`matvec_panel` followed by the per-column subtract and
+        dot.  The matrix pass is charged once for the whole panel.
         """
-        from repro.backends.dispatch import waxpby_dot_multi
-
         ncol = X.shape[1]
-        AX = self.ws.get_panel("op.panel.ax", self.nlocal, ncol, self.dtype)
-        self.matvec_panel(X, out=AX)
-        _, locals_sq = waxpby_dot_multi(1.0, B, -1.0, AX, out=out, ws=self.ws)
+        if self.P is not None:
+            AX = self.ws.get_panel("op.panel.ax", self.nlocal, ncol, self.dtype)
+            self.matvec_panel(X, out=AX)
+            _, locals_sq = waxpby_dot_multi(
+                1.0, B, -1.0, AX, out=out, ws=self.ws
+            )
+            return locals_sq
+        self.matrix_passes += 1
+        self.rhs_columns += ncol
+        XF = self.ws.get_panel("op.panel.xfull", self.nfull, ncol, self.dtype)
+        XF[: self.nlocal, :] = X
+        self.halo_ex.exchange_panel(XF)
+        _, locals_sq = spmv_dot_multi(self.A, XF, B, out=out, ws=self.ws)
         return locals_sq

@@ -89,6 +89,13 @@ class MatrixFreeStencilOperator:
             return out
         return y
 
+    def matvec_panel(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Column-by-column panel product (the solver's operator seam)."""
+        Y = out if out is not None else np.empty(X.shape, self.dtype, order="F")
+        for j in range(X.shape[1]):
+            self.matvec(X[:, j], out=Y[:, j])
+        return Y
+
     def residual(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
         """``b - A x`` in the operator precision."""
         return np.asarray(b, dtype=self.dtype) - self.matvec(x)

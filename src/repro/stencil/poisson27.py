@@ -134,14 +134,3 @@ def generate_problem(
     b = vals.sum(axis=1, dtype=np.float64)
     x_exact = np.ones(n, dtype=np.float64)
     return Problem(sub=sub, halo=halo, A=A, b=b, x_exact=x_exact, spec=spec)
-
-
-def generate_serial_problem(
-    nx: int,
-    ny: int | None = None,
-    nz: int | None = None,
-    spec: ProblemSpec | None = None,
-) -> Problem:
-    """Single-rank convenience wrapper."""
-    sub = Subdomain.serial(nx, ny, nz)
-    return generate_problem(sub, spec=spec)

@@ -73,12 +73,13 @@ class TestInnerLoopAllocations:
         column, precision-cast scratch) is hoisted to construction, so
         a *second* solve re-warms nothing — same QR object, zero new
         arena buffers, and the buffer count is flat."""
-        qr0 = warm_solver._qr
+        qrs0 = list(warm_solver._qrs)
         nbuf0 = warm_solver.ws.nbuffers
         misses0 = warm_solver.ws.misses
         warm_solver.solve(problem16.b, tol=0.0, maxiter=10)
         warm_solver.solve(problem16.b, tol=0.0, maxiter=10)
-        assert warm_solver._qr is qr0
+        assert len(warm_solver._qrs) == len(qrs0)
+        assert all(a is b for a, b in zip(warm_solver._qrs, qrs0))
         assert warm_solver.ws.nbuffers == nbuf0
         assert warm_solver.ws.misses == misses0
 
@@ -94,11 +95,18 @@ class TestInnerLoopAllocations:
         solver.solve_panel(B, tol=0.0, maxiter=10)  # warmup
         misses0 = solver.ws.misses
         hits0 = solver.ws.hits
+        bases0, qrs0 = list(solver._Qs), list(solver._qrs)
         solver.solve_panel(B, tol=0.0, maxiter=10)
         assert solver.ws.misses == misses0, (
             "batched hot path allocated new arena buffers after warmup"
         )
         assert solver.ws.hits > hits0
+        # The per-slot Krylov bases and Givens QRs are solver-owned and
+        # reused, not rebuilt per call.
+        assert len(solver._Qs) == len(bases0) == 4
+        assert all(a is b for a, b in zip(solver._Qs, bases0))
+        assert all(a is b for a, b in zip(solver._qrs, qrs0))
+        assert solver.Q is solver._Qs[0]
 
     def test_vcycle_is_allocation_free_with_out(self, problem16):
         """The preconditioner alone: apply(out=...) reuses its arena."""

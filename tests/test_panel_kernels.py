@@ -227,10 +227,9 @@ class TestDistributedPanelParity:
             locals_sq = op.residual_panel_norm2_local(B, X, out=R)
             ok = True
             for j in range(NCOL):
-                r1 = np.empty(n)
-                l1 = op.residual_norm2_local(B[:, j].copy(), X[:, j].copy(), out=r1)
+                r1 = B[:, j] - op.matvec(X[:, j].copy())
                 ok = ok and np.array_equal(R[:, j], r1)
-                ok = ok and locals_sq[j] == l1
+                ok = ok and locals_sq[j] == dot(r1, r1)
             return bool(ok)
 
         assert all(run_ranks(nranks, fn))

@@ -595,7 +595,7 @@ class TestTransferScheduledHierarchy:
             Precision.DOUBLE,
             Precision.DOUBLE,
         )
-        assert mg.levels[0].r_c.dtype == np.float32
+        assert mg.levels[0].transfer_precision.dtype == np.float32
         assert mg.levels[-1].transfer_precision is None
 
     def test_explicit_transfer_schedule_sets_buffer_dtypes(
@@ -611,7 +611,7 @@ class TestTransferScheduledHierarchy:
             transfer_precision="fp64",
         )
         assert mg.transfer_schedule == (Precision.DOUBLE,) * 3
-        assert all(lv.r_c.dtype == np.float64 for lv in mg.levels[:-1])
+        assert all(lv.transfer_precision.dtype == np.float64 for lv in mg.levels[:-1])
         dims = mg.level_dims()
         assert dims[0]["transfer_precision"] == "fp64"
         assert dims[-1]["transfer_precision"] is None

@@ -153,8 +153,8 @@ class TestLadderHierarchy:
         assert mg.describe_schedule() == "fp16:fp32:fp64:fp64"
         assert mg.precision is Precision.HALF
         # The defect buffer of each level lives on the *coarser* rung.
-        assert mg.levels[0].r_c.dtype == np.float32
-        assert mg.levels[1].r_c.dtype == np.float64
+        assert mg.levels[0].transfer_precision.dtype == np.float32
+        assert mg.levels[1].transfer_precision.dtype == np.float64
         dims = mg.level_dims()
         assert [d["value_bytes"] for d in dims] == [2, 4, 8, 8]
 

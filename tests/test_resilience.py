@@ -26,7 +26,7 @@ import pytest
 from repro.backends.registry import registry
 from repro.backends.workspace import WorkspacePool
 from repro.core import BenchmarkConfig, run_fault_inject_phase
-from repro.fp import DOUBLE_POLICY, MIXED_DS_POLICY
+from repro.fp import DOUBLE_POLICY, HALF_LADDER_POLICY, MIXED_DS_POLICY
 from repro.geometry import BoxGrid, ProcessGrid, Subdomain
 from repro.mg import MGConfig
 from repro.parallel import SerialComm, run_spmd
@@ -293,6 +293,136 @@ class TestZeroOverheadParity:
             rs = st.resilience
             return bool(np.array_equal(x_off, x_on)) and (
                 rs.detected == 0 and rs.replays == 0
+            )
+
+        assert all(run_ranks(nranks, fn))
+
+
+def _rhs_panel(problem, ncol, seed=3):
+    """Distinct right-hand sides, one per column."""
+    rng = np.random.default_rng(seed)
+    B = np.empty((problem.nlocal, ncol), order="F")
+    for j in range(ncol):
+        B[:, j] = problem.b + rng.standard_normal(problem.nlocal)
+    return B
+
+
+class TestPanelRecovery:
+    """In-solver recovery on the panel path: a fault in a panel SpMV
+    rewinds the whole round to its restart-boundary checkpoint."""
+
+    def _panel_campaign(self, problem, policy, spec, ncol=4):
+        injector = parse_fault_spec(spec).injector()
+        injector.cover()
+        solver = GMRESIRSolver(
+            problem, SerialComm(), policy, resilience=ResilienceConfig()
+        )
+        registry.set_wrapper(injector.kernel_wrapper())
+        try:
+            _, stats = solver.solve_panel(
+                _rhs_panel(problem, ncol), tol=1e-8, maxiter=400
+            )
+        finally:
+            registry.set_wrapper(None)
+        return injector.stats.injected_total, stats
+
+    @pytest.mark.parametrize(
+        "policy", [MIXED_DS_POLICY, HALF_LADDER_POLICY], ids=["mixed", "fp16"]
+    )
+    def test_width4_bitflips_detected_and_replayed(self, problem16, policy):
+        injected, stats = self._panel_campaign(
+            problem16, policy, "spmv:bitflip:2;seed=7"
+        )
+        assert injected == 2
+        assert all(s.converged for s in stats)
+        detected = sum(s.resilience.detected for s in stats)
+        replays = sum(s.resilience.replays for s in stats)
+        assert detected == injected  # detection rate exactly 1.0
+        assert replays >= detected
+        assert all(s.resilience.recovered == 1 for s in stats)
+
+    def test_untouched_columns_share_the_replay(self, problem16):
+        """Replay semantics: every column in the faulted round rewinds
+        (and counts the replay), only the flagged column is charged the
+        detection, and the replay's rung change is panel-wide — it is
+        in every rewound column's promotion log, flagged or not."""
+        _, stats = self._panel_campaign(
+            problem16, HALF_LADDER_POLICY, "spmv:bitflip:2;seed=7"
+        )
+        flagged = [s for s in stats if s.resilience.detected]
+        untouched = [s for s in stats if not s.resilience.detected]
+        assert flagged and untouched
+
+        def fault_events(s):
+            return [
+                (p.iteration, p.restart, p.from_low, p.to_low)
+                for p in s.promotions
+                if p.reason == "fault"
+            ]
+
+        assert fault_events(flagged[0])  # the fp16 ladder climbs on a fault
+        for s in untouched:
+            assert s.resilience.replays == flagged[0].resilience.replays
+            assert fault_events(s) == fault_events(flagged[0])
+
+    def test_service_batch_absorbs_kernel_fault_in_solver(self, problem16):
+        """A one-shot kernel fault inside a coalesced batch is replayed
+        by the solver, not retried by the service."""
+        injector = parse_fault_spec("spmv:bitflip:1;seed=5").injector()
+        injector.cover()
+        B = _rhs_panel(problem16, 4)
+
+        async def drive():
+            svc = SolverService(resilience=ResilienceConfig(), batch_window=0.05)
+            async with svc:
+                fp = svc.register_operator(problem16)
+                reqs = [
+                    SolveRequest(operator=fp, b=B[:, j].copy(), maxiter=200)
+                    for j in range(B.shape[1])
+                ]
+                resps = await asyncio.gather(*(svc.solve(r) for r in reqs))
+            return resps, svc
+
+        registry.set_wrapper(injector.kernel_wrapper())
+        try:
+            resps, svc = asyncio.run(drive())
+        finally:
+            registry.set_wrapper(None)
+        assert injector.exhausted
+        assert all(r.stats.converged for r in resps)
+        assert max(r.coalesce_width for r in resps) > 1
+        assert sum(r.stats.resilience.detected for r in resps) == 1
+        assert svc.metrics.fault_retries == 0
+        assert svc.metrics.degradations == 0
+
+    @pytest.mark.parametrize("nranks", RANKS)
+    def test_zero_fault_panel_bitwise_parity(self, nranks):
+        """Resilience on with zero faults == resilience off, bitwise,
+        on the panel path."""
+
+        def fn(comm):
+            pg = ProcessGrid.from_size(comm.size)
+            sub = Subdomain(BoxGrid(8, 8, 8), pg, comm.rank)
+            prob = generate_problem(sub)
+            mg = MGConfig(nlevels=2)
+            B = _rhs_panel(prob, 3, seed=11 + comm.rank)
+            X_off, s_off = GMRESIRSolver(
+                prob, comm, MIXED_DS_POLICY, mg_config=mg
+            ).solve_panel(B, tol=1e-8, maxiter=300)
+            X_on, s_on = GMRESIRSolver(
+                prob,
+                comm,
+                MIXED_DS_POLICY,
+                mg_config=mg,
+                resilience=ResilienceConfig(),
+            ).solve_panel(B, tol=1e-8, maxiter=300)
+            return (
+                bool(np.array_equal(X_off, X_on))
+                and [s.iterations for s in s_off] == [s.iterations for s in s_on]
+                and all(
+                    (s.resilience.detected, s.resilience.replays) == (0, 0)
+                    for s in s_on
+                )
             )
 
         assert all(run_ranks(nranks, fn))

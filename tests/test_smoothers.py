@@ -7,7 +7,7 @@ from repro.mg.smoothers import (
     LevelScheduledGS,
     MulticolorGS,
     make_smoother,
-    smooth_distributed,
+    smooth_distributed_panel,
 )
 from repro.parallel import HaloExchange, SerialComm
 from repro.sparse.coloring import color_sets, structured_coloring8
@@ -166,11 +166,13 @@ class TestFactoryAndDistributed:
         sm = LevelScheduledGS(A)
         halo = HaloExchange(problem8.halo, SerialComm())
         xfull = np.zeros(A.nrows)
-        smooth_distributed(sm, halo, b, xfull, "forward")
+        smooth_distributed_panel(sm, halo, b[:, None], xfull[:, None], "forward")
         assert np.linalg.norm(b - A.spmv(xfull)) < np.linalg.norm(b)
 
     def test_smooth_distributed_bad_direction(self, problem8):
         sm = LevelScheduledGS(problem8.A)
         halo = HaloExchange(problem8.halo, SerialComm())
         with pytest.raises(ValueError):
-            smooth_distributed(sm, halo, problem8.b, np.zeros(512), "sideways")
+            smooth_distributed_panel(
+                sm, halo, problem8.b[:, None], np.zeros((512, 1)), "sideways"
+            )

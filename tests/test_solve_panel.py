@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.backends.registry import registry
 from repro.fp import DOUBLE_POLICY, MIXED_DS_POLICY
 from repro.geometry import BoxGrid, ProcessGrid, Subdomain
 from repro.mg import MGConfig
@@ -106,6 +107,48 @@ class TestPanelParitySerial:
             pan.solve_panel(np.zeros((7, 2)))
         with pytest.raises(ValueError, match="nlocal"):
             pan.solve_panel(problem16.b)  # 1-D is not a panel
+
+
+@pytest.fixture
+def reference_backend():
+    """Run the test on the NumPy reference backend, then restore."""
+    prev = registry.active_backend
+    registry.set_backend("numpy")
+    try:
+        yield
+    finally:
+        registry.set_backend(prev)
+
+
+class TestPanelFusionFlag:
+    def test_unfused_panel_matches_fused_bitwise(
+        self, problem16, reference_backend
+    ):
+        """``fusion=False`` runs the outer residual as ``matvec_panel``
+        plus the per-column subtract and dot — the same bits as the
+        fused motifs under the reference backend, through the unfused
+        ops only."""
+        B = make_rhs_panel(problem16.b, 4)
+        Xf, sf = _solver(problem16, SerialComm(), MIXED_DS_POLICY).solve_panel(
+            B, tol=1e-9, maxiter=60
+        )
+        seen = set()
+
+        def record(op, fn):
+            seen.add(op)
+            return fn
+
+        unfused = _solver(problem16, SerialComm(), MIXED_DS_POLICY, fusion=False)
+        registry.set_wrapper(record)
+        try:
+            Xu, su = unfused.solve_panel(B, tol=1e-9, maxiter=60)
+        finally:
+            registry.set_wrapper(None)
+        assert np.array_equal(Xf, Xu)
+        assert [s.iterations for s in su] == [s.iterations for s in sf]
+        assert [s.final_relres for s in su] == [s.final_relres for s in sf]
+        assert {"spmv_multi", "dot_multi"} <= seen
+        assert not seen & {"spmv_dot_multi", "waxpby_dot_multi", "gemv_sub_dot"}
 
 
 class TestPanelParityDistributed:

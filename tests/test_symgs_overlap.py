@@ -35,7 +35,7 @@ from repro.fp import MIXED_DS_POLICY
 from repro.geometry import BoxGrid, ProcessGrid, Subdomain
 from repro.mg import MGConfig
 from repro.mg.reordered_gs import ReorderedMulticolorGS
-from repro.mg.smoothers import MulticolorGS, smooth_distributed
+from repro.mg.smoothers import MulticolorGS, smooth_distributed_panel
 from repro.parallel import HaloExchange, SerialComm, run_spmd
 from repro.solvers import GMRESIRSolver
 from repro.sparse import to_format, to_precision
@@ -158,8 +158,10 @@ class TestOverlappedSymGS:
             x1 = np.zeros(A.ncols)
             x1[: prob.nlocal] = rng.standard_normal(prob.nlocal)
             x2 = x1.copy()
-            smooth_distributed(plain, h1, r, x1, direction)
-            smooth_distributed(part, h2, r, x2, direction, overlap=True)
+            smooth_distributed_panel(plain, h1, r[:, None], x1[:, None], direction)
+            smooth_distributed_panel(
+                part, h2, r[:, None], x2[:, None], direction, overlap=True
+            )
             return bool(np.array_equal(x1, x2))
 
         assert all(run_ranks(nranks, fn))
@@ -181,8 +183,10 @@ class TestOverlappedSymGS:
             x1[: prob.nlocal] = x0
             x2 = x1.copy()
             for d in ("forward", "backward"):
-                smooth_distributed(plain, h1, r, x1, d)
-                smooth_distributed(part, h2, r, x2, d, overlap=True)
+                smooth_distributed_panel(plain, h1, r[:, None], x1[:, None], d)
+                smooth_distributed_panel(
+                    part, h2, r[:, None], x2[:, None], d, overlap=True
+                )
             return (
                 np.asarray(x1[: prob.nlocal], dtype=np.float64),
                 np.asarray(x2[: prob.nlocal], dtype=np.float64),
@@ -243,8 +247,8 @@ class TestOverlappedSymGS:
             x2 = x1.copy()
             ok = True
             for d in ("forward", "backward"):
-                smooth_distributed(sm1, h1, r, x1, d)
-                sm2.sweep_overlapped(h2, r, x2, d)
+                smooth_distributed_panel(sm1, h1, r[:, None], x1[:, None], d)
+                sm2.sweep_overlapped_panel(h2, r[:, None], x2[:, None], d)
                 ok &= bool(np.array_equal(x1, x2))
             return ok
 
